@@ -83,9 +83,7 @@ from .witt import (
     InvalidFormError,
     TwistLabel,
     WittClass,
-    gw_add,
     gw_class,
-    gw_mul,
     in_ideal_power,
     mult_pfister_minus_one,
     pfister,

@@ -30,6 +30,11 @@ trivial twist, cover pairs only in strat orders, parentheses only where
 the left-associating product needs them.  Parsing a pretty-printed tree
 reproduces the tree (smoothness assertions are not part of the grammar
 and are dropped by pretty()).
+
+The parser is recursive descent, so nesting is bounded by the
+interpreter's recursion limit (a few hundred levels); deeper input is
+a ParseError.  pretty() and the folds in schemes walk the tree
+iteratively, so they take trees of any depth.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from .schemes import (
     SchemeExpr,
     Stratified,
     TorusCell,
+    fold_tree,
+    kind_of,
 )
 from .witt import TwistLabel
 
@@ -258,48 +265,59 @@ def _combine(left: SchemeExpr, right: SchemeExpr) -> SchemeExpr:
 def parse_expr(text: str) -> SchemeExpr:
     """Parse a scheme expression; raises ParseError with line/column."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        # the parser recurses once per nesting level; report where it gave up
+        raise parser.fail("expression nests too deeply") from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError("trailing input %r" % tok.text, tok.line, tok.col)
     return node
 
 
-def _pretty_factor(x: SchemeExpr) -> str:
+def _pretty_torus_cell(x: TorusCell, kids: list) -> str:
+    if x.d == 0:
+        return "A^%d" % x.n
+    gm = "Gm" if x.d == 1 else "Gm^%d" % x.d
+    return gm if x.n == 0 else "A^%d * %s" % (x.n, gm)
+
+
+def _pretty_proj_times_torus(x: ProjTimesTorus, kids: list) -> str:
+    s = "P^%d" % x.c
+    if not x.twist.is_trivial:
+        s += " @%s" % x.twist
+    if x.e == 1:
+        s += " * Gm"
+    elif x.e > 1:
+        s += " * Gm^%d" % x.e
+    return s
+
+
+def _pretty_product(x: Product, kids: list) -> str:
     # the product chain associates left, so only a product on the right
     # would reassociate and needs parentheses
-    s = pretty(x)
-    return "(%s)" % s if isinstance(x, Product) else s
+    return ("%s * (%s)" if isinstance(x.right, Product) else "%s * %s") % tuple(kids)
+
+
+def _pretty_stratified(x: Stratified, kids: list) -> str:
+    pairs = ", ".join("%d<%d" % p for p in x.closure_order.cover_pairs())
+    return "strat(%s; %s)" % (", ".join(kids), pairs)
+
+
+# the printed form of each node kind, given its children's printed forms
+_PRETTY = {
+    "empty": lambda x, kids: "empty",
+    "affine": lambda x, kids: "A^%d" % x.n,
+    "torus_cell": _pretty_torus_cell,
+    "proj_times_torus": _pretty_proj_times_torus,
+    "open_glue": lambda x, kids: "open(%s, %s)" % tuple(kids),
+    "closed_glue": lambda x, kids: "closed(%s, %s)" % tuple(kids),
+    "product": _pretty_product,
+    "stratified": _pretty_stratified,
+}
 
 
 def pretty(x: SchemeExpr) -> str:
     """Canonical text form; parse(pretty(t)) == t for parser-image trees."""
-    if isinstance(x, Empty):
-        return "empty"
-    if isinstance(x, Affine):
-        return "A^%d" % x.n
-    if isinstance(x, TorusCell):
-        if x.d == 0:
-            return "A^%d" % x.n
-        gm = "Gm" if x.d == 1 else "Gm^%d" % x.d
-        return gm if x.n == 0 else "A^%d * %s" % (x.n, gm)
-    if isinstance(x, ProjTimesTorus):
-        s = "P^%d" % x.c
-        if not x.twist.is_trivial:
-            s += " @%s" % x.twist
-        if x.e == 1:
-            s += " * Gm"
-        elif x.e > 1:
-            s += " * Gm^%d" % x.e
-        return s
-    if isinstance(x, OpenGlue):
-        return "open(%s, %s)" % (pretty(x.ambient), pretty(x.closed))
-    if isinstance(x, ClosedGlue):
-        return "closed(%s, %s)" % (pretty(x.closed), pretty(x.open_part))
-    if isinstance(x, Product):
-        return "%s * %s" % (pretty(x.left), _pretty_factor(x.right))
-    if isinstance(x, Stratified):
-        strata = ", ".join(pretty(s) for s in x.strata)
-        pairs = ", ".join("%d<%d" % p for p in x.closure_order.cover_pairs())
-        return "strat(%s; %s)" % (strata, pairs)
-    raise ValueError("cannot print %r" % (x,))
+    return fold_tree(x, lambda t, kids: _PRETTY[kind_of(t).name](t, kids))

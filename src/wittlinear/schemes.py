@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .witt import TwistLabel
 
@@ -77,27 +77,26 @@ class SchemeExpr:
     """Base class for scheme construction trees.
 
     smooth_flag is a user assertion overriding the structural default;
-    None means "derive from the construction".
+    None means "derive from the construction".  dim, is_empty and the
+    derived smoothness are computed once, at construction, from the
+    children's stored values, so reading them never walks the tree.
     """
 
     smooth_flag: bool | None = field(default=None, kw_only=True)
+    dim: int = field(init=False, repr=False, compare=False)
+    is_empty: bool = field(init=False, repr=False, compare=False)
+    _derived_smooth: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def is_empty(self) -> bool:
-        return False
-
-    def _derived_smooth(self) -> bool:
-        raise NotImplementedError
+    def _set_shape(self, dim: int, smooth: bool, is_empty: bool = False) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "is_empty", is_empty)
+        object.__setattr__(self, "_derived_smooth", smooth)
 
     @property
     def smooth(self) -> bool:
         if self.smooth_flag is not None:
             return self.smooth_flag
-        return self._derived_smooth()
+        return self._derived_smooth
 
     def assume_smooth(self) -> "SchemeExpr":
         return replace(self, smooth_flag=True)
@@ -106,7 +105,8 @@ class SchemeExpr:
         return ()
 
     def label(self) -> str:
-        raise NotImplementedError
+        """Compact form naming this node in provenance records."""
+        return fold_tree(self, lambda t, kids: kind_of(t).label(t, kids))
 
     def j_linear_level(self) -> int:
         return j_linear_level_with_rules(self)[0]
@@ -119,19 +119,8 @@ class SchemeExpr:
 class Empty(SchemeExpr):
     """The empty scheme; dimension -1 by convention."""
 
-    @property
-    def dim(self) -> int:
-        return -1
-
-    @property
-    def is_empty(self) -> bool:
-        return True
-
-    def _derived_smooth(self) -> bool:
-        return True
-
-    def label(self) -> str:
-        return "empty"
+    def __post_init__(self) -> None:
+        self._set_shape(-1, True, is_empty=True)
 
 
 @dataclass(frozen=True)
@@ -143,16 +132,7 @@ class Affine(SchemeExpr):
     def __post_init__(self) -> None:
         if self.n < 0:
             raise SchemeError("affine dimension must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def _derived_smooth(self) -> bool:
-        return True
-
-    def label(self) -> str:
-        return "A^%d" % self.n
+        self._set_shape(self.n, True)
 
 
 @dataclass(frozen=True)
@@ -165,19 +145,7 @@ class TorusCell(SchemeExpr):
     def __post_init__(self) -> None:
         if self.n < 0 or self.d < 0:
             raise SchemeError("torus cell parameters must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return self.n + self.d
-
-    def _derived_smooth(self) -> bool:
-        return True
-
-    def label(self) -> str:
-        if self.d == 0:
-            return "A^%d" % self.n
-        gm = "Gm" if self.d == 1 else "Gm^%d" % self.d
-        return gm if self.n == 0 else "A^%d*%s" % (self.n, gm)
+        self._set_shape(self.n + self.d, True)
 
 
 @dataclass(frozen=True)
@@ -191,21 +159,7 @@ class ProjTimesTorus(SchemeExpr):
     def __post_init__(self) -> None:
         if self.c < 0 or self.e < 0:
             raise SchemeError("projective/torus parameters must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return self.c + self.e
-
-    def _derived_smooth(self) -> bool:
-        return True
-
-    def label(self) -> str:
-        s = "P^%d" % self.c
-        if not self.twist.is_trivial:
-            s += "@%s" % self.twist
-        if self.e:
-            s += "*Gm" if self.e == 1 else "*Gm^%d" % self.e
-        return s
+        self._set_shape(self.c + self.e, True)
 
 
 @dataclass(frozen=True)
@@ -224,24 +178,11 @@ class OpenGlue(SchemeExpr):
             raise SchemeError(
                 "removed closed piece must have smaller dimension than the ambient scheme"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim
-
-    @property
-    def is_empty(self) -> bool:
-        return self.ambient.is_empty
-
-    def _derived_smooth(self) -> bool:
         # an open subscheme of a smooth scheme is smooth
-        return self.ambient.smooth
+        self._set_shape(self.ambient.dim, self.ambient.smooth, self.ambient.is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.ambient, self.closed)
-
-    def label(self) -> str:
-        return "open(%s, %s)" % (self.ambient.label(), self.closed.label())
 
 
 @dataclass(frozen=True)
@@ -251,24 +192,14 @@ class ClosedGlue(SchemeExpr):
     closed: SchemeExpr
     open_part: SchemeExpr
 
-    @property
-    def dim(self) -> int:
-        return max(self.closed.dim, self.open_part.dim)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.closed.is_empty and self.open_part.is_empty
-
-    def _derived_smooth(self) -> bool:
+    def __post_init__(self) -> None:
         # gluing a closed stratum back in usually creates singular points;
         # smoothness of the total space is an assertion, not a derivation
-        return False
+        self._set_shape(max(self.closed.dim, self.open_part.dim), False,
+                        self.closed.is_empty and self.open_part.is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.closed, self.open_part)
-
-    def label(self) -> str:
-        return "closed(%s, %s)" % (self.closed.label(), self.open_part.label())
 
 
 @dataclass(frozen=True)
@@ -276,24 +207,13 @@ class Product(SchemeExpr):
     left: SchemeExpr
     right: SchemeExpr
 
-    @property
-    def dim(self) -> int:
-        if self.is_empty:
-            return -1
-        return self.left.dim + self.right.dim
-
-    @property
-    def is_empty(self) -> bool:
-        return self.left.is_empty or self.right.is_empty
-
-    def _derived_smooth(self) -> bool:
-        return self.left.smooth and self.right.smooth
+    def __post_init__(self) -> None:
+        is_empty = self.left.is_empty or self.right.is_empty
+        self._set_shape(-1 if is_empty else self.left.dim + self.right.dim,
+                        self.left.smooth and self.right.smooth, is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.left, self.right)
-
-    def label(self) -> str:
-        return "%s*%s" % (self.left.label(), self.right.label())
 
 
 @dataclass(frozen=True)
@@ -391,19 +311,10 @@ class Stratified(SchemeExpr):
                 "closure order is on %d strata but %d were given"
                 % (self.closure_order.size, len(self.strata))
             )
-
-    @property
-    def dim(self) -> int:
-        return max(s.dim for s in self.strata)
-
-    def _derived_smooth(self) -> bool:
-        return False
+        self._set_shape(max(s.dim for s in self.strata), False)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return self.strata
-
-    def label(self) -> str:
-        return "strat[%d]" % len(self.strata)
 
     def to_glue_tree(self) -> SchemeExpr:
         """Rewrite as nested closed decompositions.
@@ -429,10 +340,167 @@ class RuleApplication:
     level: int
 
 
-def _apply(rules: list[RuleApplication], node: SchemeExpr, rule: str,
-           inputs: tuple[int, ...], level: int) -> int:
-    rules.append(RuleApplication(node.label(), rule, inputs, level))
-    return level
+# JSON codecs for node fields.  Subtree fields take the children's
+# dicts in children() order; data fields are (encode, decode) pairs,
+# where decode also sees the decoded children.
+_CHILD = "child"
+_CHILDREN = "children"
+_INT = (lambda v: v, lambda v, kids: int(v))
+_TWIST = (lambda t: t.name, lambda v, kids: TwistLabel(str(v)))
+_ORDER = (lambda o: [list(p) for p in o.strict_pairs()],
+          lambda v, kids: ClosureOrder.from_pairs(len(kids), (tuple(p) for p in v)))
+
+
+@dataclass(frozen=True)
+class NodeKind:
+    """Everything that differs between node kinds, in one place.
+
+    name and fields give the JSON form: each field is (JSON key,
+    attribute, codec).  label(node, child_labels) is the compact form
+    used in provenance.  j_rule and range_rule are (rule name,
+    level(node, child_levels)) pairs for the two folds.  cell(node) is
+    (n, d) for the leaf kinds that are structurally A^n x Gm^d.
+    """
+
+    cls: type
+    name: str
+    fields: tuple[tuple[str, str, object], ...]
+    label: Callable[[SchemeExpr, list], str]
+    j_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
+    range_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
+    cell: Callable[[SchemeExpr], tuple[int, int]] | None = None
+
+
+def _gm_label(d: int) -> str:
+    return "Gm" if d == 1 else "Gm^%d" % d
+
+
+def _torus_cell_label(x: TorusCell, kids: list) -> str:
+    if x.d == 0:
+        return "A^%d" % x.n
+    return _gm_label(x.d) if x.n == 0 else "A^%d*%s" % (x.n, _gm_label(x.d))
+
+
+def _proj_times_torus_label(x: ProjTimesTorus, kids: list) -> str:
+    s = "P^%d" % x.c
+    if not x.twist.is_trivial:
+        s += "@%s" % x.twist
+    if x.e:
+        s += "*" + _gm_label(x.e)
+    return s
+
+
+NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
+    NodeKind(
+        Empty, "empty", (),
+        label=lambda x, kids: "empty",
+        j_rule=("leaf-empty", lambda x, lv: 0),
+        range_rule=("leaf-empty", lambda x, lv: 0),
+    ),
+    NodeKind(
+        Affine, "affine", (("n", "n", _INT),),
+        label=lambda x, kids: "A^%d" % x.n,
+        j_rule=("leaf-affine", lambda x, lv: 0),
+        range_rule=("leaf-affine", lambda x, lv: 0),
+        cell=lambda x: (x.n, 0),
+    ),
+    NodeKind(
+        TorusCell, "torus_cell", (("n", "n", _INT), ("d", "d", _INT)),
+        label=_torus_cell_label,
+        j_rule=("leaf-torus-cell", lambda x, lv: x.d),
+        range_rule=("leaf-torus-cell", lambda x, lv: x.d),
+        cell=lambda x: (x.n, x.d),
+    ),
+    NodeKind(
+        ProjTimesTorus, "proj_times_torus",
+        (("c", "c", _INT), ("e", "e", _INT), ("twist", "twist", _TWIST)),
+        label=_proj_times_torus_label,
+        # c closed cell decompositions for the projective factor, one
+        # torus step per Gm factor; for the range the cells are free
+        j_rule=("leaf-proj-cell-chain", lambda x, lv: x.c + x.e),
+        range_rule=("leaf-proj-cell-strata", lambda x, lv: x.e),
+    ),
+    NodeKind(
+        OpenGlue, "open_glue", (("ambient", "ambient", _CHILD), ("closed", "closed", _CHILD)),
+        label=lambda x, kids: "open(%s, %s)" % tuple(kids),
+        j_rule=("open-glue-split", lambda x, lv: 1 + max(lv)),
+        range_rule=("open-glue-shift", lambda x, lv: max(lv) + 1),
+    ),
+    NodeKind(
+        ClosedGlue, "closed_glue", (("closed", "closed", _CHILD), ("open", "open_part", _CHILD)),
+        label=lambda x, kids: "closed(%s, %s)" % tuple(kids),
+        j_rule=("closed-glue-split", lambda x, lv: 1 + max(lv)),
+        range_rule=("closed-glue-five-lemma", lambda x, lv: max(lv)),
+    ),
+    NodeKind(
+        Product, "product", (("left", "left", _CHILD), ("right", "right", _CHILD)),
+        label=lambda x, kids: "%s*%s" % tuple(kids),
+        j_rule=("product-sum", lambda x, lv: sum(lv)),
+        range_rule=("product-sum", lambda x, lv: sum(lv)),
+    ),
+    NodeKind(
+        Stratified, "stratified",
+        (("strata", "strata", _CHILDREN), ("closure_pairs", "closure_order", _ORDER)),
+        label=lambda x, kids: "strat[%d]" % len(kids),
+        # one splitting plus k - 1 further closed decompositions over
+        # the worst of the k strata
+        j_rule=("stratified-split", lambda x, lv: len(lv) + max(lv)),
+        range_rule=("stratified-refinement", lambda x, lv: max(lv)),
+    ),
+)}
+
+_KINDS_BY_NAME = {kind.name: kind for kind in NODE_KINDS.values()}
+
+
+def kind_of(x: SchemeExpr) -> NodeKind:
+    """The table entry for a node (subclasses use their base kind's)."""
+    for cls in type(x).__mro__:
+        kind = NODE_KINDS.get(cls)
+        if kind is not None:
+            return kind
+    raise SchemeError("unknown scheme node %r" % (x,))
+
+
+def fold_tree(root, visit: Callable, children: Callable = lambda x: x.children()):
+    """Post-order fold over a tree, with an explicit stack.
+
+    visit(node, values) receives the values already computed for the
+    node's children, in children() order, and returns the node's value.
+    Nodes are visited in the order a recursive fold would visit them,
+    so rule lists come out the same, and depth is bounded by memory
+    only.
+    """
+    values: list = []
+    stack: list = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend((kid, None) for kid in reversed(kids))
+                continue
+        split = len(values) - len(kids)
+        args = values[split:]
+        del values[split:]
+        values.append(visit(node, args))
+    return values[0]
+
+
+def _level_with_rules(x: SchemeExpr, which: str) -> tuple[int, tuple[RuleApplication, ...]]:
+    rules: list[RuleApplication] = []
+
+    def visit(node: SchemeExpr, kids: list) -> tuple[int, str]:
+        kind = kind_of(node)
+        rule, level_of = getattr(kind, which)
+        inputs = tuple(level for level, _ in kids)
+        label = kind.label(node, [lbl for _, lbl in kids])
+        level = level_of(node, inputs)
+        rules.append(RuleApplication(label, rule, inputs, level))
+        return level, label
+
+    level, _ = fold_tree(x, visit)
+    return level, tuple(rules)
 
 
 def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -443,36 +511,7 @@ def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication
     stratification with k strata costs one splitting plus k - 1 further
     closed decompositions over its worst stratum.
     """
-    rules: list[RuleApplication] = []
-
-    def go(t: SchemeExpr) -> int:
-        if isinstance(t, Empty):
-            return _apply(rules, t, "leaf-empty", (), 0)
-        if isinstance(t, Affine):
-            return _apply(rules, t, "leaf-affine", (), 0)
-        if isinstance(t, TorusCell):
-            return _apply(rules, t, "leaf-torus-cell", (), t.d)
-        if isinstance(t, ProjTimesTorus):
-            # c closed cell decompositions for the projective factor,
-            # one torus step per Gm factor
-            return _apply(rules, t, "leaf-proj-cell-chain", (), t.c + t.e)
-        if isinstance(t, OpenGlue):
-            a, c = go(t.ambient), go(t.closed)
-            return _apply(rules, t, "open-glue-split", (a, c), 1 + max(a, c))
-        if isinstance(t, ClosedGlue):
-            c, u = go(t.closed), go(t.open_part)
-            return _apply(rules, t, "closed-glue-split", (c, u), 1 + max(c, u))
-        if isinstance(t, Product):
-            l, r = go(t.left), go(t.right)
-            return _apply(rules, t, "product-sum", (l, r), l + r)
-        if isinstance(t, Stratified):
-            levels = tuple(go(s) for s in t.strata)
-            lvl = 1 + (len(t.strata) - 1) + max(levels)
-            return _apply(rules, t, "stratified-split", levels, lvl)
-        raise SchemeError("unknown scheme node %r" % (t,))
-
-    level = go(x)
-    return level, tuple(rules)
+    return _level_with_rules(x, "j_rule")
 
 
 def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -485,33 +524,7 @@ def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, .
     add; a torus factor costs one per Gm while projective cells are
     free.
     """
-    rules: list[RuleApplication] = []
-
-    def go(t: SchemeExpr) -> int:
-        if isinstance(t, Empty):
-            return _apply(rules, t, "leaf-empty", (), 0)
-        if isinstance(t, Affine):
-            return _apply(rules, t, "leaf-affine", (), 0)
-        if isinstance(t, TorusCell):
-            return _apply(rules, t, "leaf-torus-cell", (), t.d)
-        if isinstance(t, ProjTimesTorus):
-            return _apply(rules, t, "leaf-proj-cell-strata", (), t.e)
-        if isinstance(t, OpenGlue):
-            a, c = go(t.ambient), go(t.closed)
-            return _apply(rules, t, "open-glue-shift", (a, c), max(a, c) + 1)
-        if isinstance(t, ClosedGlue):
-            c, u = go(t.closed), go(t.open_part)
-            return _apply(rules, t, "closed-glue-five-lemma", (c, u), max(c, u))
-        if isinstance(t, Product):
-            l, r = go(t.left), go(t.right)
-            return _apply(rules, t, "product-sum", (l, r), l + r)
-        if isinstance(t, Stratified):
-            levels = tuple(go(s) for s in t.strata)
-            return _apply(rules, t, "stratified-refinement", levels, max(levels))
-        raise SchemeError("unknown scheme node %r" % (t,))
-
-    level = go(x)
-    return level, tuple(rules)
+    return _level_with_rules(x, "range_rule")
 
 
 def split_order(order: ClosureOrder) -> tuple[int, ...]:
@@ -542,18 +555,22 @@ def as_torus_cell(x: SchemeExpr) -> tuple[int, int] | None:
 
     Recognition is purely structural (Affine, TorusCell and products
     thereof); glue trees that happen to describe a torus are not
-    chased.
+    chased.  Only the product spine is walked, and the walk stops at the
+    first factor that is not a torus-cell leaf.
     """
-    if isinstance(x, Affine):
-        return (x.n, 0)
-    if isinstance(x, TorusCell):
-        return (x.n, x.d)
-    if isinstance(x, Product):
-        l = as_torus_cell(x.left)
-        r = as_torus_cell(x.right)
-        if l is not None and r is not None:
-            return (l[0] + r[0], l[1] + r[1])
-    return None
+    n = d = 0
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        kind = kind_of(node)
+        if kind.cls is Product:
+            stack.extend(node.children())
+        elif kind.cell is None:
+            return None
+        else:
+            dn, dd = kind.cell(node)
+            n, d = n + dn, d + dd
+    return (n, d)
 
 
 def torus_cell_as_glue_tree(n: int, d: int) -> SchemeExpr:
@@ -781,82 +798,60 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
     return report
 
 
-_LEAF_KINDS = {
-    "empty": Empty,
-    "affine": Affine,
-    "torus_cell": TorusCell,
-    "proj_times_torus": ProjTimesTorus,
-}
-
-
-def _node_to_dict(x: SchemeExpr) -> dict:
-    d: dict
-    if isinstance(x, Empty):
-        d = {"kind": "empty"}
-    elif isinstance(x, Affine):
-        d = {"kind": "affine", "n": x.n}
-    elif isinstance(x, TorusCell):
-        d = {"kind": "torus_cell", "n": x.n, "d": x.d}
-    elif isinstance(x, ProjTimesTorus):
-        d = {"kind": "proj_times_torus", "c": x.c, "e": x.e, "twist": x.twist.name}
-    elif isinstance(x, OpenGlue):
-        d = {"kind": "open_glue", "ambient": _node_to_dict(x.ambient),
-             "closed": _node_to_dict(x.closed)}
-    elif isinstance(x, ClosedGlue):
-        d = {"kind": "closed_glue", "closed": _node_to_dict(x.closed),
-             "open": _node_to_dict(x.open_part)}
-    elif isinstance(x, Product):
-        d = {"kind": "product", "left": _node_to_dict(x.left),
-             "right": _node_to_dict(x.right)}
-    elif isinstance(x, Stratified):
-        d = {
-            "kind": "stratified",
-            "strata": [_node_to_dict(s) for s in x.strata],
-            "closure_pairs": [list(p) for p in x.closure_order.strict_pairs()],
-        }
-    else:
-        raise SchemeError("unknown scheme node %r" % (x,))
+def _node_to_dict(x: SchemeExpr, kids: list) -> dict:
+    kind = kind_of(x)
+    d: dict = {"kind": kind.name}
+    rest = iter(kids)
+    for key, attr, codec in kind.fields:
+        if codec is _CHILD:
+            d[key] = next(rest)
+        elif codec is _CHILDREN:
+            d[key] = list(rest)
+        else:
+            d[key] = codec[0](getattr(x, attr))
     if x.smooth_flag is not None:
         d["smooth"] = x.smooth_flag
     return d
 
 
-def _node_from_dict(d: dict) -> SchemeExpr:
-    kind = d.get("kind")
+def _dict_kind(d: dict) -> NodeKind:
+    name = d.get("kind")
+    kind = _KINDS_BY_NAME.get(name) if isinstance(name, str) else None
+    if kind is None:
+        raise SchemeError("unknown scheme node kind %r" % (name,))
+    return kind
+
+
+def _dict_children(d: dict) -> list:
+    out: list = []
+    for key, _, codec in _dict_kind(d).fields:
+        if codec is _CHILD:
+            out.append(d[key])
+        elif codec is _CHILDREN:
+            out.extend(d[key])
+    return out
+
+
+def _node_from_dict(d: dict, kids: list) -> SchemeExpr:
+    kind = _dict_kind(d)
+    args: dict = {}
+    rest = iter(kids)
+    for key, attr, codec in kind.fields:
+        if codec is _CHILD:
+            args[attr] = next(rest)
+        elif codec is _CHILDREN:
+            args[attr] = tuple(rest)
+        else:
+            args[attr] = codec[1](d[key], kids)
     smooth = d.get("smooth")
-    x: SchemeExpr
-    if kind == "empty":
-        x = Empty()
-    elif kind == "affine":
-        x = Affine(int(d["n"]))
-    elif kind == "torus_cell":
-        x = TorusCell(int(d["n"]), int(d["d"]))
-    elif kind == "proj_times_torus":
-        x = ProjTimesTorus(int(d["c"]), int(d["e"]), TwistLabel(str(d["twist"])))
-    elif kind == "open_glue":
-        x = OpenGlue(_node_from_dict(d["ambient"]), _node_from_dict(d["closed"]))
-    elif kind == "closed_glue":
-        x = ClosedGlue(_node_from_dict(d["closed"]), _node_from_dict(d["open"]))
-    elif kind == "product":
-        x = Product(_node_from_dict(d["left"]), _node_from_dict(d["right"]))
-    elif kind == "stratified":
-        strata = tuple(_node_from_dict(s) for s in d["strata"])
-        order = ClosureOrder.from_pairs(
-            len(strata), (tuple(p) for p in d["closure_pairs"])
-        )
-        x = Stratified(strata, order)
-    else:
-        raise SchemeError("unknown scheme node kind %r" % (kind,))
-    if smooth is not None:
-        x = replace(x, smooth_flag=bool(smooth))
-    return x
+    return kind.cls(**args, smooth_flag=None if smooth is None else bool(smooth))
 
 
 def scheme_to_json(x: SchemeExpr) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "expr": _node_to_dict(x)}
+    return {"schema_version": SCHEMA_VERSION, "expr": fold_tree(x, _node_to_dict)}
 
 
 def scheme_from_json(data: dict) -> SchemeExpr:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemeError("unsupported schema_version")
-    return _node_from_dict(data["expr"])
+    return fold_tree(data["expr"], _node_from_dict, _dict_children)

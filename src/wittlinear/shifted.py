@@ -127,6 +127,16 @@ class StepVerdict:
         return self.kind is StepKind.ISO
 
 
+def _step_verdict(coker_rank: int) -> StepVerdict:
+    # every step here is injective; its cokernel is (Z/2)^coker_rank
+    if coker_rank == 0:
+        return StepVerdict(StepKind.ISO, AbelianGroupPresentation.trivial())
+    return StepVerdict(
+        StepKind.INJECTIVE_NOT_SURJECTIVE,
+        AbelianGroupPresentation(0, (2,) * coker_rank),
+    )
+
+
 @dataclass(frozen=True)
 class ShiftedIdealSum:
     """A multiset {(shift, multiplicity)} denoting (+)_s (I^{j-s})^m at level j.
@@ -195,13 +205,7 @@ class ShiftedIdealSum:
         already at non-negative level; each summand still below level 0
         contributes Z/2 to the cokernel.
         """
-        coker_rank = sum(m for s, m in self.summands if s > j)
-        if coker_rank == 0:
-            return StepVerdict(StepKind.ISO, AbelianGroupPresentation.trivial())
-        return StepVerdict(
-            StepKind.INJECTIVE_NOT_SURJECTIVE,
-            AbelianGroupPresentation(0, (2,) * coker_rank),
-        )
+        return _step_verdict(sum(m for s, m in self.summands if s > j))
 
     def graded_step_verdict(self, j: int) -> StepVerdict:
         """Verdict for the step on graded pieces at level j.
@@ -213,13 +217,7 @@ class ShiftedIdealSum:
         j - s == -1; everywhere else it maps a piece isomorphically (or
         zero to zero).
         """
-        coker_rank = sum(m for s, m in self.summands if s == j + 1)
-        if coker_rank == 0:
-            return StepVerdict(StepKind.ISO, AbelianGroupPresentation.trivial())
-        return StepVerdict(
-            StepKind.INJECTIVE_NOT_SURJECTIVE,
-            AbelianGroupPresentation(0, (2,) * coker_rank),
-        )
+        return _step_verdict(sum(m for s, m in self.summands if s == j + 1))
 
     def composite_cokernel(self, j0: int, j1: int) -> AbelianGroupPresentation:
         """Cokernel of the composite of steps from level j0 to level j1.

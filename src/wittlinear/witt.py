@@ -33,8 +33,6 @@ __all__ = [
     "GW_ONE",
     "PFISTER_MINUS_ONE",
     "gw_class",
-    "gw_add",
-    "gw_mul",
     "witt_class",
     "in_ideal_power",
     "pfister",
@@ -239,16 +237,6 @@ def gw_class(form: DiagonalForm) -> GWClass:
     GWClass(rank=3, signature=1)
     """
     return GWClass(form.rank, form.signature)
-
-
-def gw_add(a: GWClass, b: GWClass) -> GWClass:
-    """Orthogonal sum of classes."""
-    return a + b
-
-
-def gw_mul(a: GWClass, b: GWClass) -> GWClass:
-    """Tensor product of classes."""
-    return a * b
 
 
 def witt_class(a: GWClass) -> WittClass:

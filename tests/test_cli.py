@@ -19,6 +19,10 @@ GOLDEN_INVOCATIONS = [
     ("venn_generic3.json",
      ["venn", "3", "--file", os.path.join(DATA, "generic3.json"),
       "--format", "json"]),
+    # one node of every kind, so provenance labels of all eight are pinned
+    ("linlevel_allkinds.json",
+     ["linlevel", "strat(open(A^2, A^0) * Gm, closed(P^1 @O(2) * Gm, empty), "
+      "A^1 * Gm^2; 0<1)", "--format", "json"]),
 ]
 
 
@@ -98,6 +102,28 @@ class TestLinlevelCommand:
         assert proc.returncode == 0
         assert "j-linear level: 1" in proc.stdout
         assert "range level: 1" in proc.stdout
+
+
+class TestDeepTrees:
+    LONG_PRODUCT = " * ".join(["A^1"] * 1200)
+
+    def test_long_product_linlevel(self):
+        proc = run_cli("linlevel", self.LONG_PRODUCT)
+        assert proc.returncode == 0, proc.stderr
+        assert "dim: 1200" in proc.stdout
+        assert "j-linear level: 0" in proc.stdout
+
+    def test_long_product_range(self):
+        proc = run_cli("range", self.LONG_PRODUCT, "--smooth", "--i", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert "ISO for j >= 0" in proc.stdout
+
+    def test_over_deep_nesting_exits_2_without_traceback(self):
+        depth = 1200
+        proc = run_cli("linlevel", "open(" * depth + "A^3" + ", A^0)" * depth)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: expression nests too deeply")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCohomologyCommand:

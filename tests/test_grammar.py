@@ -120,6 +120,19 @@ class TestParseErrors:
             parse_expr("strat(A^0; 0<5)")
 
 
+class TestNestingDepth:
+    def test_over_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests too deeply") as info:
+            parse_expr("(" * 2000 + "A^1" + ")" * 2000)
+        assert info.value.line == 1
+        assert 1 < info.value.col <= 2000
+
+    def test_long_products_do_not_nest(self):
+        tree = parse_expr(" * ".join(["Gm"] * 2000))
+        assert tree.dim == 2000
+        assert as_torus_cell(tree) == (0, 2000)
+
+
 class TestTwistWarnings:
     def test_opaque_twist_warns(self):
         with pytest.warns(UnknownTwistWarning):

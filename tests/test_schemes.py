@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -29,8 +30,10 @@ from wittlinear import (
     split_order,
     stratification_to_tree,
     torus_cell_as_glue_tree,
+    pretty,
     venn_stratification,
 )
+from wittlinear.schemes import NODE_KINDS, SchemeExpr, kind_of
 
 GM_TREE = OpenGlue(Affine(1), Affine(0))
 
@@ -444,3 +447,78 @@ class TestSchemeJson:
             scheme_from_json({"schema_version": 1, "expr": {"kind": "nope"}})
         with pytest.raises(SchemeError):
             scheme_from_json({"schema_version": 0, "expr": {"kind": "empty"}})
+        for kind in ([], {}, None, 3):
+            with pytest.raises(SchemeError, match="unknown scheme node kind"):
+                scheme_from_json({"schema_version": 1, "expr": {"kind": kind}})
+
+
+class TestDeepTrees:
+    """Every walk but the parser is iterative; trees are built here
+    without the parser, far past the default recursion limit.  Trees
+    are compared through pretty(), since dataclass equality recurses."""
+
+    DEPTH = 2000
+
+    def product_chain(self):
+        tree = Affine(1)
+        for _ in range(self.DEPTH):
+            tree = Product(tree, TorusCell(0, 1))
+        return tree
+
+    def open_chain(self):
+        tree = Affine(1)
+        for _ in range(self.DEPTH):
+            tree = OpenGlue(tree, Affine(0))
+        return tree
+
+    def check(self, tree, text, j_level, r_level):
+        j, j_rules = j_linear_level_with_rules(tree)
+        r, r_rules = range_level_with_rules(tree)
+        assert (j, r) == (j_level, r_level)
+        assert len(j_rules) == len(r_rules) == 2 * self.DEPTH + 1
+        assert j_rules[-1].node == r_rules[-1].node == tree.label()
+        assert pretty(tree) == text
+        back = scheme_from_json(scheme_to_json(tree.assume_smooth()))
+        assert back.smooth_flag is True
+        assert pretty(back) == text
+
+    def test_product_chain(self):
+        tree = self.product_chain()
+        self.check(tree, "A^1" + " * Gm" * self.DEPTH, self.DEPTH, self.DEPTH)
+        assert tree.label() == "A^1" + "*Gm" * self.DEPTH
+        assert tree.dim == 1 + self.DEPTH
+        assert tree.smooth
+        assert as_torus_cell(tree) == (1, self.DEPTH)
+
+    def test_open_chain(self):
+        tree = self.open_chain()
+        text = "open(" * self.DEPTH + "A^1" + ", A^0)" * self.DEPTH
+        self.check(tree, text, self.DEPTH, self.DEPTH)
+        assert tree.label() == text
+        assert tree.dim == 1
+        assert tree.smooth
+        assert as_torus_cell(tree) is None
+
+
+class TestNodeKinds:
+    def test_one_table_entry_per_node_class(self):
+        assert set(NODE_KINDS) == {Empty, Affine, TorusCell, ProjTimesTorus,
+                                   OpenGlue, ClosedGlue, Product, Stratified}
+        assert len({kind.name for kind in NODE_KINDS.values()}) == len(NODE_KINDS)
+
+    def test_subclasses_use_their_base_kind(self):
+        @dataclass(frozen=True)
+        class Line(Affine):
+            pass
+
+        assert kind_of(Line(1)) is NODE_KINDS[Affine]
+        assert j_linear_level_with_rules(Line(1))[1][0].node == "A^1"
+
+    def test_unknown_node_is_refused(self):
+        @dataclass(frozen=True)
+        class Point(SchemeExpr):
+            def __post_init__(self):
+                self._set_shape(0, True)
+
+        with pytest.raises(SchemeError, match="unknown scheme node"):
+            range_level_with_rules(Product(Affine(1), Point()))
