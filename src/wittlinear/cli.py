@@ -57,6 +57,11 @@ class UnsupportedQueryError(RuntimeError):
 
 _FIELDS = {"R": REAL, "Fq": FINITE_FIELD}
 
+# cokernel and cohomology --j list every unit of multiplicity one by one,
+# so their output grows with it (cokernel Gm^20 already prints 12 MB of
+# JSON); above this total they refuse.
+MAX_EXPANDED_MULTIPLICITY = 1 << 20
+
 
 def _parse(text: str):
     with warnings.catch_warnings(record=True) as caught:
@@ -166,6 +171,15 @@ def _cell_cohomology(tree):
     )
 
 
+def _check_expansion(tree, total) -> None:
+    if total.total_multiplicity > MAX_EXPANDED_MULTIPLICITY:
+        raise UnsupportedQueryError(
+            "%s has total multiplicity %d; cokernel and cohomology --j "
+            "expand at most %d" % (pretty(tree), total.total_multiplicity,
+                                   MAX_EXPANDED_MULTIPLICITY)
+        )
+
+
 def cmd_cohomology(args) -> None:
     tree = _parse(args.expr)
     degree, total, model = _cell_cohomology(tree)
@@ -187,6 +201,7 @@ def cmd_cohomology(args) -> None:
         ),
     ]
     if args.j is not None:
+        _check_expansion(tree, total)
         verdict = total.step_verdict(args.j)
         payload["at_j"] = {
             "j": args.j,
@@ -253,6 +268,7 @@ def cmd_cokernel(args) -> None:
             "cohomology of %s is computed in degree %d only, got --i %d"
             % (pretty(tree), degree, args.i)
         )
+    _check_expansion(tree, total)
     j0 = args.j0
     max_shift = total.max_shift if total.max_shift is not None else j0
     j1 = args.j1 if args.j1 is not None else max(max_shift, j0)

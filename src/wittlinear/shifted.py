@@ -88,6 +88,12 @@ class AbelianGroupPresentation:
 
     @classmethod
     def from_orders(cls, free_rank: int, orders) -> "AbelianGroupPresentation":
+        """Normalize an arbitrary multiset of cyclic orders.
+
+        This is the general normalizer: a pairwise gcd/lcm reduction,
+        quadratic in the number of orders.  Callers that already hold a
+        divisibility chain construct the presentation directly.
+        """
         return cls(free_rank, _divisibility_normal_form(list(orders)))
 
     @classmethod
@@ -227,6 +233,12 @@ class ShiftedIdealSum:
         taken while its level is still negative, capped by the number of
         steps taken at all.
 
+        The orders come out already in invariant-factor form: summands
+        are stored sorted by shift and the exponent never decreases as s
+        grows, so the 2-powers with positive exponent form a divisibility
+        chain.  The presentation is built directly, in time linear in the
+        number of factors, and its constructor checks the chain.
+
         >>> str(ShiftedIdealSum.from_pairs([(3, 2)]).composite_cokernel(1, 5))
         '(Z/4)^2'
         """
@@ -237,7 +249,7 @@ class ShiftedIdealSum:
             k = min(max(s - j0, 0), j1 - j0)
             if k > 0:
                 orders.extend([2 ** k] * m)
-        return AbelianGroupPresentation.from_orders(0, orders)
+        return AbelianGroupPresentation(0, tuple(orders))
 
     def cokernel_exponent(self, j0: int) -> int:
         """Exponent of the cokernel from level j0 into any stable level.

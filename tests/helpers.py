@@ -1,6 +1,8 @@
-"""Shared test helpers: random scheme trees, tree surgery, rule replay."""
+"""Shared test helpers: random scheme trees, tree surgery, rule replay,
+the environment for CLI child processes."""
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 
@@ -18,6 +20,20 @@ from wittlinear import (
     Stratified,
     TorusCell,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for ``python -m wittlinear`` children.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so the
+    repo's ``src`` goes in front of any inherited PYTHONPATH.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_tree(rng: random.Random, depth: int) -> SchemeExpr:

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from helpers import random_tree
+from helpers import cli_env, random_tree
 from snf_oracle import snf_cokernel
 from wittlinear import (
     Affine,
@@ -300,7 +300,7 @@ def test_criterion_10_cli_golden():
         with open(os.path.join(HERE, "golden", name)) as fh:
             expected = fh.read()
         proc = subprocess.run([sys.executable, "-m", "wittlinear", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=cli_env())
         if proc.returncode != 0:
             failures.append("%s exited %d: %s" % (name, proc.returncode,
                                                   proc.stderr.strip()))

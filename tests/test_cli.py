@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
+
+from helpers import cli_env
+from wittlinear import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -29,7 +35,7 @@ GOLDEN_INVOCATIONS = [
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "wittlinear", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env(),
     )
 
 
@@ -197,6 +203,55 @@ class TestCokernelCommand:
     def test_bad_level_order_exits_2(self):
         proc = run_cli("cokernel", "Gm", "--i", "0", "--j0", "3", "--j1", "1")
         assert proc.returncode == 2
+
+    def test_gm16_binomial_closed_form(self):
+        # (Z/2^k)^C(16,k) for k = 1..16: 65535 cyclic factors
+        proc = run_cli("cokernel", "Gm^16", "--i", "0", "--j0", "0",
+                       "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        counts = [(2**k, math.comb(16, k)) for k in range(1, 17)]
+        assert payload["cokernel"]["torsion_orders"] == \
+            [order for order, count in counts for _ in range(count)]
+        assert payload["cokernel_str"] == " (+) ".join(
+            "Z/%d" % order if count == 1 else "(Z/%d)^%d" % (order, count)
+            for order, count in counts)
+        assert payload["cokernel_str"].startswith("(Z/2)^16 (+) (Z/4)^120 (+) ")
+        assert payload["exponent"] == 2**16
+
+
+class TestSizeGuard:
+    """Queries that expand every unit of multiplicity refuse above a limit.
+
+    The limit is lowered to 8 so that nothing large is ever allocated.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EXPANDED_MULTIPLICITY", 8)
+
+    def test_cokernel_above_limit_exits_4(self, capsys):
+        assert cli.main(["cokernel", "Gm^4", "--i", "0", "--j0", "0"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Gm^4 has total multiplicity 16")
+        assert "Traceback" not in err
+
+    def test_cohomology_at_a_level_above_limit_exits_4(self, capsys):
+        assert cli.main(["cohomology", "Gm^4", "--j", "0"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Gm^4 has total multiplicity 16")
+
+    def test_at_limit_answers(self, capsys):
+        assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "0"]) == 0
+        assert cli.main(["cohomology", "P^2 @O(3) * Gm^3", "--j", "2"]) == 0
+
+    def test_cohomology_without_level_expands_nothing(self, capsys):
+        assert cli.main(["cohomology", "Gm^4"]) == 0
+        capsys.readouterr()
+        assert cli.main(["cohomology", "Gm^40", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 2**40
 
 
 class TestStratifyCommand:

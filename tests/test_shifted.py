@@ -162,6 +162,25 @@ class TestCompositeCokernels:
                 orders.extend([2**i] * math.comb(d, i))
             assert got == AbelianGroupPresentation.from_orders(0, orders)
 
+    def test_chain_built_without_general_normal_form(self, monkeypatch):
+        # the sorted shifts already give a divisibility chain, so the
+        # quadratic gcd/lcm reduction is never needed
+        cases = []
+        for d in range(0, 7):
+            orders = [2**i for i in range(1, d + 1) for _ in range(math.comb(d, i))]
+            cases.append((torus_sum(d), 0, d,
+                          AbelianGroupPresentation.from_orders(0, orders)))
+        for pairs, j0, j1 in ORACLE_CASES:
+            cases.append((ShiftedIdealSum.from_pairs(pairs), j0, j1,
+                          snf_cokernel(pairs, j0, j1)))
+
+        def refuse(orders):
+            raise AssertionError("general normal form reached")
+
+        monkeypatch.setattr("wittlinear.shifted._divisibility_normal_form", refuse)
+        for s, j0, j1, expected in cases:
+            assert s.composite_cokernel(j0, j1) == expected
+
     def test_flat_shift_example(self):
         s = ShiftedIdealSum.from_pairs([(3, 2)])
         got = s.composite_cokernel(1, 5)
@@ -198,16 +217,18 @@ class TestCompositeCokernels:
         assert len(g.torsion_orders) <= s.total_multiplicity
 
 
+ORACLE_CASES = [
+    ([(0, 1), (1, 1)], 0, 1),
+    ([(0, 1), (1, 1)], 0, 4),
+    ([(3, 2)], 1, 5),
+    ([(0, 1), (2, 3), (4, 1)], -1, 4),
+    ([(-2, 2), (0, 1)], -3, 1),
+]
+
+
 class TestAgainstSmithNormalForm:
     def test_examples_via_oracle(self):
-        cases = [
-            ([(0, 1), (1, 1)], 0, 1),
-            ([(0, 1), (1, 1)], 0, 4),
-            ([(3, 2)], 1, 5),
-            ([(0, 1), (2, 3), (4, 1)], -1, 4),
-            ([(-2, 2), (0, 1)], -3, 1),
-        ]
-        for pairs, j0, j1 in cases:
+        for pairs, j0, j1 in ORACLE_CASES:
             s = ShiftedIdealSum.from_pairs(pairs)
             assert s.composite_cokernel(j0, j1) == snf_cokernel(pairs, j0, j1)
 
