@@ -42,6 +42,8 @@ from .schemes import (
     SchemeError,
     Stratified,
     as_torus_cell,
+    json_point_lists,
+    json_points,
     venn_stratification,
     SCHEMA_VERSION,
 )
@@ -59,7 +61,8 @@ _FIELDS = {"R": REAL, "Fq": FINITE_FIELD}
 
 # cokernel and cohomology --j list every unit of multiplicity one by one,
 # so their output grows with it (cokernel Gm^20 already prints 12 MB of
-# JSON); above this total they refuse.
+# JSON); above this total they refuse.  venn lists all 2^n - 1 candidate
+# strata and refuses above the same count.
 MAX_EXPANDED_MULTIPLICITY = 1 << 20
 
 
@@ -353,13 +356,23 @@ def cmd_stratify(args) -> None:
 def cmd_venn(args) -> None:
     with open(args.file) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("%s does not hold a JSON object" % args.file)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version in %s" % args.file)
-    sets = [list(s) for s in data["sets"]]
+    sets = json_point_lists(data["sets"], "sets")
+    ground = data.get("ground")
+    if ground is not None:
+        json_points(ground, "ground")
     if len(sets) != args.n:
         raise ValueError(
             "expected %d sets, file has %d" % (args.n, len(sets)))
-    report = venn_stratification(sets, data.get("ground"))
+    if (1 << args.n) - 1 > MAX_EXPANDED_MULTIPLICITY:
+        raise UnsupportedQueryError(
+            "venn %d has 2^%d - 1 candidate strata; venn lists at most %d"
+            % (args.n, args.n, MAX_EXPANDED_MULTIPLICITY)
+        )
+    report = venn_stratification(sets, ground)
     strata_payload = []
     text_strata = []
     for s in report.strata:
@@ -455,9 +468,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    # built on the first call and reused: setting up the seven subparsers
+    # costs more than a typical warm query
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         args.func(args)
     except (UnsupportedDifferentialError, UnsupportedQueryError) as e:

@@ -31,9 +31,9 @@ verdict would wrongly come out ISO.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 from .cells import h0_torus_cells
 from .schemes import (
@@ -93,7 +93,10 @@ class TLinearAnswer(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-# oracle signature: (scheme, homological degree, grade) -> Vanishing
+# oracle signature: (scheme, homological degree, grade) -> Vanishing.
+# collections.abc's Callable, because typing.Callable caches the alias
+# for the life of the process, which keeps these modules alive after a
+# re-import.
 VanishingOracle = Callable[[SchemeExpr, int, int], Vanishing]
 
 

@@ -216,49 +216,68 @@ class Product(SchemeExpr):
         return (self.left, self.right)
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _check_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> None:
+    for i, k in pairs:
+        if not (0 <= i < size and 0 <= k < size):
+            raise InvalidStratificationError("closure pair out of range")
+
+
 @dataclass(frozen=True)
 class ClosureOrder:
     """The closure relation on stratum indices, stored reflexively and
     transitively closed.  A pair (i, k) means stratum i lies in the
     closure of stratum k.
+
+    Alongside the pairs, down[k] is the bitset of the strata in the
+    closure of stratum k; validation and the order queries run on it.
     """
 
     size: int
     relation: frozenset[tuple[int, int]]
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_pairs(self.size, self.relation)
+        down = [0] * self.size
         for i, k in self.relation:
-            if not (0 <= i < self.size and 0 <= k < self.size):
-                raise InvalidStratificationError("closure pair out of range")
-        rel = self.relation
-        for i in range(self.size):
-            if (i, i) not in rel:
+            down[k] |= 1 << i
+        object.__setattr__(self, "down", tuple(down))
+        for k in range(self.size):
+            if not down[k] >> k & 1:
                 raise InvalidStratificationError("closure relation must be reflexive")
-        for (a, b) in rel:
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    raise InvalidStratificationError("closure relation must be transitive")
-            if a != b and (b, a) in rel:
-                raise InvalidStratificationError(
-                    "strata %d and %d lie in each other's closure" % (a, b)
-                )
+        # (a, b) and (b, d) force (a, d): down[b] lies inside down[d]
+        for below in down:
+            if any(down[b] & ~below for b in _bits(below)):
+                raise InvalidStratificationError("closure relation must be transitive")
+        for a, below in enumerate(down):
+            for b in _bits(below >> (a + 1) << (a + 1)):
+                if down[b] >> a & 1:
+                    raise InvalidStratificationError(
+                        "strata %d and %d lie in each other's closure" % (a, b)
+                    )
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "ClosureOrder":
-        rel = {(i, i) for i in range(size)}
-        rel.update((int(a), int(b)) for a, b in pairs)
-        for a, b in rel:
-            if not (0 <= a < size and 0 <= b < size):
-                raise InvalidStratificationError("closure pair out of range")
-        # transitive closure by iteration; strata counts are tiny
-        changed = True
-        while changed:
-            changed = False
-            new = {(a, d) for (a, b) in rel for (c, d) in rel if b == c} - rel
-            if new:
-                rel.update(new)
-                changed = True
-        return cls(size, frozenset(rel))
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        _check_pairs(size, pairs)
+        down = [1 << i for i in range(size)]
+        for a, b in pairs:
+            down[b] |= 1 << a
+        # transitive closure by Warshall's algorithm over the bitsets
+        for k in range(size):
+            bit, below = 1 << k, down[k]
+            for j in range(size):
+                if down[j] & bit:
+                    down[j] |= below
+        return cls(size, frozenset((i, k) for k in range(size) for i in _bits(down[k])))
 
     @classmethod
     def discrete(cls, size: int) -> "ClosureOrder":
@@ -274,19 +293,22 @@ class ClosureOrder:
 
     def minimal_among(self, indices: Sequence[int]) -> list[int]:
         """Indices whose closure meets no other listed stratum: the closed ones."""
-        pool = set(indices)
-        return sorted(
-            i for i in pool
-            if not any(k != i and (k, i) in self.relation for k in pool)
-        )
+        pool = 0
+        for i in indices:
+            pool |= 1 << i
+        return [i for i in _bits(pool) if self.down[i] & pool == 1 << i]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction, for canonical printing."""
-        strict = {(a, b) for (a, b) in self.relation if a != b}
-        return sorted(
-            (a, b) for (a, b) in strict
-            if not any((a, m) in strict and (m, b) in strict for m in range(self.size))
-        )
+        strict = [below & ~(1 << b) for b, below in enumerate(self.down)]
+        covers = []
+        for b, below in enumerate(strict):
+            # a < m < b for some m: a sits in the strict closure of such an m
+            deeper = 0
+            for m in _bits(below):
+                deeper |= strict[m]
+            covers.extend((a, b) for a in _bits(below & ~deeper))
+        return sorted(covers)
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         return sorted((a, b) for (a, b) in self.relation if a != b)
@@ -534,13 +556,14 @@ def split_order(order: ClosureOrder) -> tuple[int, ...]:
     closure order among those remaining; such a stratum is closed in the
     remaining space, so it can be split off by a closed decomposition.
     """
-    remaining = list(range(order.size))
+    down = order.down
+    remaining = (1 << order.size) - 1
     out: list[int] = []
-    while len(remaining) > 1:
-        pick = order.minimal_among(remaining)[0]
+    while remaining & (remaining - 1):  # two or more left
+        pick = next(i for i in _bits(remaining) if down[i] & remaining == 1 << i)
         out.append(pick)
-        remaining.remove(pick)
-    out.extend(remaining)
+        remaining ^= 1 << pick
+    out.extend(_bits(remaining))
     return tuple(out)
 
 
@@ -583,6 +606,21 @@ def torus_cell_as_glue_tree(n: int, d: int) -> SchemeExpr:
     return tree
 
 
+def json_points(value, what: str) -> list:
+    """value, if it is a JSON array of points (anything but an array or
+    an object); SchemeError otherwise."""
+    if not isinstance(value, list) or any(isinstance(p, (list, dict)) for p in value):
+        raise SchemeError("%s must be an array of points" % what)
+    return value
+
+
+def json_point_lists(value, what: str) -> list[list]:
+    """value, if it is a JSON array of arrays of points; SchemeError otherwise."""
+    if not isinstance(value, list):
+        raise SchemeError("%s must be an array of arrays of points" % what)
+    return [json_points(v, "each entry of %s" % what) for v in value]
+
+
 @dataclass(frozen=True)
 class FinitePosetRealization:
     """A finite model of a stratified space: a ground set partitioned
@@ -597,6 +635,7 @@ class FinitePosetRealization:
     ground: frozenset
     pieces: tuple[frozenset, ...]
     closure_sets: tuple[frozenset, ...]
+    _order: ClosureOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ground = frozenset(self.ground)
@@ -627,15 +666,15 @@ class FinitePosetRealization:
                 if not 0 <= k < n:
                     raise InvalidStratificationError("closure index out of range")
         # ClosureOrder re-checks transitivity and rejects 2-cycles
-        self.closure_order()
+        pairs = {(k, i) for i, cs in enumerate(closure_sets) for k in cs}
+        object.__setattr__(self, "_order", ClosureOrder.from_pairs(n, pairs))
 
     @property
     def size(self) -> int:
         return len(self.pieces)
 
     def closure_order(self) -> ClosureOrder:
-        pairs = {(k, i) for i, cs in enumerate(self.closure_sets) for k in cs}
-        return ClosureOrder.from_pairs(len(self.pieces), pairs)
+        return self._order
 
     def closure_points(self, i: int) -> frozenset:
         out: set = set()
@@ -651,7 +690,7 @@ class FinitePosetRealization:
         For validated closure data the verification cannot fail; a
         failure therefore raises InternalConsistencyError.
         """
-        order = split_order(self.closure_order())
+        order = split_order(self._order)
         space = set(self.ground)
         for idx in order[:-1]:
             visible_closure = self.closure_points(idx) & space
@@ -677,12 +716,17 @@ class FinitePosetRealization:
 
     @classmethod
     def from_json(cls, data: dict) -> "FinitePosetRealization":
+        if not isinstance(data, dict):
+            raise InvalidStratificationError("a realization must be a JSON object")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise InvalidStratificationError("unsupported schema_version")
+        closure = json_point_lists(data["closure"], "closure")
+        if not all(isinstance(i, int) for cs in closure for i in cs):
+            raise InvalidStratificationError("closure entries must be piece indices")
         return cls(
-            frozenset(data["ground"]),
-            tuple(frozenset(p) for p in data["pieces"]),
-            tuple(frozenset(cs) for cs in data["closure"]),
+            frozenset(json_points(data["ground"], "ground")),
+            tuple(frozenset(p) for p in json_point_lists(data["pieces"], "pieces")),
+            tuple(frozenset(cs) for cs in closure),
         )
 
 
@@ -717,6 +761,64 @@ class VennReport:
         return FinitePosetRealization(ground, tuple(s.points for s in live), closure_sets)
 
 
+def _venn_masks(families: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Intersections and strata of n point bitsets, indexed by set masks.
+
+    For a bitset J of set indices, inter[J] holds the points lying in
+    every set of J (all points for J = 0) and strata[J] those lying in
+    exactly the sets of J.  Both tables are built over J by dropping
+    its lowest bit.
+    """
+    full = (1 << len(families)) - 1
+    by_bit = {1 << j: f for j, f in enumerate(families)}
+    inter = [0] * (full + 1)
+    union = [0] * (full + 1)
+    inter[0] = -1  # every bit set, so inter[{j}] = families[j]; fixed below
+    for J in range(1, full + 1):
+        low = J & -J
+        inter[J] = inter[J ^ low] & by_bit[low]
+        union[J] = union[J ^ low] | by_bit[low]
+    inter[0] = union[full]
+    strata = [inter[J] & ~union[full ^ J] for J in range(full + 1)]
+    return inter, strata
+
+
+def _check_venn(inter: Sequence[int], strata: Sequence[int]) -> None:
+    """Verify a decomposition given as bitset tables over set masks J.
+
+    Partition: the strata over nonempty J are pairwise disjoint and
+    cover the union inter[0].  Boundary: each full intersection
+    inter[J] is the union of the strata whose index set contains J,
+    taken for all J at once by a superset-OR transform.  A failure
+    raises InternalConsistencyError naming the offending index sets.
+    """
+    size = len(strata)
+    counterexamples: list[str] = []
+    seen = 0
+    for J in range(1, size):
+        if strata[J] & seen:
+            counterexamples.append(
+                "stratum %r shares points with another stratum" % list(_bits(J)))
+        seen |= strata[J]
+    if seen != inter[0]:
+        counterexamples.append("the strata do not cover the union of the sets")
+    deeper = list(strata)
+    bit = 1
+    while bit < size:
+        for base in range(0, size, 2 * bit):
+            for J in range(base, base + bit):
+                deeper[J] |= deeper[J | bit]
+        bit <<= 1
+    counterexamples.extend(
+        "closure of stratum %r mismatches its deeper strata" % list(_bits(J))
+        for J in range(1, size) if deeper[J] != inter[J]
+    )
+    if counterexamples:
+        raise InternalConsistencyError(
+            "venn decomposition checks failed: %s" % "; ".join(counterexamples)
+        )
+
+
 def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None,
                         declared_irreducible: bool = True) -> VennReport:
     """Decompose a union of n subsets into its 2^n - 1 intersection strata.
@@ -727,8 +829,9 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
     J-stratum is the full intersection over J, so strata order
     themselves by reverse inclusion of index sets.
 
-    The partition and boundary claims are verified pointwise; a failure
-    is impossible for honest set inputs and raises
+    The work runs on point bitsets: O(n * 2^n) big-integer operations.
+    The partition and boundary claims are verified (see _check_venn); a
+    failure is impossible for honest set inputs and raises
     InternalConsistencyError.
     """
     families = [frozenset(s) for s in sets]
@@ -741,61 +844,21 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
         if not universe <= declared:
             raise SchemeError("sets contain points outside the declared ground set")
 
-    subsets = sorted(
-        (frozenset(J) for r in range(1, n + 1) for J in itertools.combinations(range(n), r)),
-        key=lambda J: (-len(J), sorted(J)),
-    )
+    points = list(universe)
+    bit_of = {p: 1 << i for i, p in enumerate(points)}
+    inter, masks = _venn_masks([sum(bit_of[p] for p in f) for f in families])
+    _check_venn(inter, masks)
+
     strata = []
-    for J in subsets:
-        inter = frozenset.intersection(*(families[j] for j in J))
-        outer = frozenset().union(*(families[j] for j in range(n) if j not in J), frozenset())
-        strata.append(VennStratum(J, inter - outer))
-
-    counterexamples: list[str] = []
-
-    # partition: each point lies in exactly the stratum of its membership pattern
-    located: dict = {}
-    for s in strata:
-        for p in s.points:
-            if p in located:
-                counterexamples.append(
-                    "point %r lies in two strata %r and %r"
-                    % (p, sorted(located[p]), sorted(s.members))
-                )
-            located[p] = s.members
-    for p in universe:
-        pattern = frozenset(j for j in range(n) if p in families[j])
-        if located.get(p) != pattern:
-            counterexamples.append(
-                "point %r has pattern %r but was filed under %r"
-                % (p, sorted(pattern), sorted(located.get(p, frozenset())))
-            )
-    partition_ok = not counterexamples
-
-    # boundary: the full intersection over J is exactly the union of the
-    # strata with index set containing J
-    boundary_bad: list[str] = []
-    for s in strata:
-        inter = frozenset.intersection(*(families[j] for j in s.members))
-        deeper = frozenset().union(
-            *(t.points for t in strata if s.members <= t.members), frozenset()
-        )
-        if inter != deeper:
-            boundary_bad.append(
-                "closure of stratum %r mismatches its deeper strata" % sorted(s.members)
-            )
-    boundary_ok = not boundary_bad
-    counterexamples.extend(boundary_bad)
-
-    report = VennReport(
-        tuple(strata), partition_ok, boundary_ok, tuple(counterexamples),
-        declared_irreducible,
-    )
-    if not (partition_ok and boundary_ok):
-        raise InternalConsistencyError(
-            "venn decomposition checks failed: %s" % "; ".join(counterexamples)
-        )
-    return report
+    empty: frozenset = frozenset()
+    for r in range(n, 0, -1):
+        for J in itertools.combinations(range(n), r):
+            mask = masks[sum(1 << j for j in J)]
+            strata.append(VennStratum(
+                frozenset(J),
+                frozenset(points[i] for i in _bits(mask)) if mask else empty,
+            ))
+    return VennReport(tuple(strata), True, True, (), declared_irreducible)
 
 
 def _node_to_dict(x: SchemeExpr, kids: list) -> dict:

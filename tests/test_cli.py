@@ -254,6 +254,99 @@ class TestSizeGuard:
         assert json.loads(capsys.readouterr().out)["rank"] == 2**40
 
 
+    @staticmethod
+    def venn_file(tmp_path, n: int) -> str:
+        path = tmp_path / ("venn%d.json" % n)
+        path.write_text(json.dumps(
+            {"schema_version": 1, "sets": [["p%d" % j] for j in range(n)]}))
+        return str(path)
+
+    def test_venn_above_limit_exits_4(self, tmp_path, capsys):
+        # 2^4 - 1 = 15 candidate strata
+        assert cli.main(["venn", "4", "--file", self.venn_file(tmp_path, 4)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: venn 4 has 2^4 - 1 candidate strata")
+
+    def test_venn_at_limit_answers(self, tmp_path, capsys):
+        assert cli.main(["venn", "3", "--file", self.venn_file(tmp_path, 3)]) == 0
+        assert "nonempty strata: 3 of 7 candidates" in capsys.readouterr().out
+
+
+# JSON input files of the wrong shape, as (command, file text)
+MALFORMED_FILES = [
+    pytest.param("venn", '{"schema_version": 1, "sets": [[["x"]]]}', id="venn-nested-point"),
+    pytest.param("venn", "[1, 2]", id="venn-top-level-list"),
+    pytest.param("venn", '{"schema_version": 1, "sets": [1]}', id="venn-set-not-a-list"),
+    pytest.param("venn", "[]", id="venn-top-level-empty-list"),
+    pytest.param("stratify", '{"schema_version": 1, "ground": ["a"], '
+                 '"pieces": [[["a"]]], "closure": [[0]]}', id="stratify-nested-piece"),
+    pytest.param("stratify", '{"schema_version": 1, "ground": ["a"], '
+                 '"pieces": [["a"]], "closure": [[null]]}', id="stratify-null-index"),
+    pytest.param("stratify", "[]", id="stratify-top-level-empty-list"),
+]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command,text", MALFORMED_FILES)
+    def test_exits_2_without_traceback(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = [command, "1"] if command == "venn" else [command]
+        assert cli.main(argv + ["--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["linlevel", "A^1 * Gm"],
+        ["cokernel", "Gm^2", "--i", "0", "--j0", "0", "--format", "json"],
+        ["range", "A^1", "--i", "0", "--bogus"],
+        ["venn", "3", "--file", os.path.join(DATA, "generic3.json")],
+        ["stratify", "strat(A^0, A^1; 0<1)", "--format", "json"],
+        ["linlevel", "P^2 @L"],
+        ["linlevel", "A^1 * Gm"],
+    ]
+
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        for argv in self.SEQUENCE:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:  # argparse refuses bad options this way
+                rc = e.code
+            out, err = capsys.readouterr()
+            proc = run_cli(*argv)
+            assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert len(built) == 1
+
+
+class TestReimport:
+    def test_old_modules_are_freed(self):
+        # a process that drops the package from sys.modules and imports it
+        # again (as a benchmark's set-up does) must not keep the old copy
+        code = "\n".join([
+            "import contextlib, gc, io, sys, weakref",
+            "import wittlinear.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    wittlinear.cli.main(['linlevel', 'A^1 * Gm'])",
+            "old = weakref.ref(sys.modules['wittlinear.schemes'].SchemeExpr)",
+            "for name in [n for n in sys.modules if n.startswith('wittlinear')]:",
+            "    del sys.modules[name]",
+            "import wittlinear.cli",
+            "gc.collect()",
+            "sys.exit(old() is not None)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestStratifyCommand:
     def test_expression_mode(self):
         proc = run_cli("stratify", "strat(A^0, A^1; 0<1)", "--format", "json")

@@ -5,7 +5,10 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import combinatorics_reference as ref
 from helpers import random_tree, replay_provenance, surgery_sites
 from wittlinear import (
     Affine,
@@ -33,7 +36,7 @@ from wittlinear import (
     pretty,
     venn_stratification,
 )
-from wittlinear.schemes import NODE_KINDS, SchemeExpr, kind_of
+from wittlinear.schemes import NODE_KINDS, SchemeExpr, _check_venn, _venn_masks, kind_of
 
 GM_TREE = OpenGlue(Affine(1), Affine(0))
 
@@ -412,6 +415,101 @@ class TestVenn:
             venn_stratification([])
         with pytest.raises(SchemeError):
             venn_stratification([{"a", "z"}], ground={"a"})
+
+
+@st.composite
+def relations(draw):
+    """A size and a relation on range(size): raw pairs or a transitive
+    closure, then up to two pairs toggled, some of them out of range."""
+    size = draw(st.integers(0, 6))
+    index = st.integers(0, max(size - 1, 0))
+    rel = draw(st.sets(st.tuples(index, index), max_size=10))
+    if size and draw(st.booleans()):
+        rel = set(ref.transitive_closure(size, rel))
+    near = st.integers(-1, size)
+    for pair in draw(st.lists(st.tuples(near, near), max_size=2)):
+        rel ^= {pair}
+    return size, frozenset(rel)
+
+
+class TestBitsetCombinatorics:
+    """The bitset venn and closure orders against pointwise references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 29)), min_size=1, max_size=6))
+    def test_venn_matches_pointwise_reference(self, sets):
+        report = venn_stratification(sets)
+        assert [(s.members, s.points) for s in report.strata] == ref.venn_strata(sets)
+
+    @settings(max_examples=300, deadline=None)
+    @given(relations())
+    def test_constructor_accepts_exactly_partial_orders(self, case):
+        size, rel = case
+        try:
+            ClosureOrder(size, rel)
+        except InvalidStratificationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == ref.is_partial_order(size, rel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                            max_size=10))))
+    def test_from_pairs_is_the_transitive_closure(self, case):
+        size, pairs = case
+        closure = ref.transitive_closure(size, pairs)
+        if not ref.is_partial_order(size, closure):
+            with pytest.raises(InvalidStratificationError):
+                ClosureOrder.from_pairs(size, pairs)
+            return
+        order = ClosureOrder.from_pairs(size, pairs)
+        assert order.relation == closure
+        assert order.cover_pairs() == ref.cover_pairs(size, closure)
+        assert split_order(order) == ref.split_order(size, closure)
+
+    def test_two_cycle_names_the_lowest_pair(self):
+        everything = frozenset((a, b) for a in range(3) for b in range(3))
+        with pytest.raises(InvalidStratificationError, match="strata 0 and 1 "):
+            ClosureOrder(3, everything)
+        with pytest.raises(InvalidStratificationError, match="strata 1 and 3 "):
+            ClosureOrder.from_pairs(4, [(3, 1), (1, 3), (2, 0)])
+
+    def test_tampered_decomposition_is_caught(self):
+        points = sorted(set().union(*GENERIC3))
+        masks = [sum(1 << points.index(p) for p in s) for s in GENERIC3]
+        inter, strata = _venn_masks(masks)
+        _check_venn(inter, strata)
+        for J in range(1, 8):
+            for k in range(3):
+                # move the one point of stratum J into a neighbouring stratum
+                tampered = list(strata)
+                tampered[J ^ 1 << k] |= strata[J]
+                tampered[J] = 0
+                with pytest.raises(InternalConsistencyError):
+                    _check_venn(inter, tampered)
+
+
+class TestScale:
+    """Sizes at which the old exponential and quartic paths took minutes.
+    Only exact counts are asserted, never a time."""
+
+    def test_chain_of_200(self):
+        order = ClosureOrder.chain(200)
+        assert len(order.relation) == 200 * 201 // 2
+        assert split_order(order) == tuple(range(200))
+        assert order.cover_pairs() == [(i, i + 1) for i in range(199)]
+
+    def test_venn_13_with_every_pattern_populated(self):
+        # point p lies in exactly the sets named by the bits of p + 1
+        n = 13
+        points = range((1 << n) - 1)
+        sets = [[p for p in points if (p + 1) >> j & 1] for j in range(n)]
+        report = venn_stratification(sets)
+        assert len(report.strata) == 2**n - 1
+        assert len(report.nonempty) == 2**n - 1
+        assert all(len(s.points) == 1 for s in report.strata)
 
 
 class TestSchemeJson:
