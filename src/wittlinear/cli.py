@@ -28,10 +28,8 @@ from .cells import (
 from .grammar import ParseError, parse_expr, pretty
 from .ranges import (
     CapabilityError,
-    RccmCase,
     SmoothnessRequiredError,
     TShapeRequiredError,
-    lift_to_twisted_ideal,
     rccm_report,
     sheaf_range,
 )
@@ -99,18 +97,19 @@ def cmd_linlevel(args) -> None:
     from .schemes import j_linear_level_with_rules, range_level_with_rules
 
     tree = _parse(args.expr)
+    expr = pretty(tree)
     jl, j_rules = j_linear_level_with_rules(tree)
     rl, r_rules = range_level_with_rules(tree)
     payload = {
         "command": "linlevel",
-        "expr": pretty(tree),
+        "expr": expr,
         "dim": tree.dim,
         "j_linear_level": jl,
         "range_level": rl,
         "provenance": {"j_linear": _rules(j_rules), "range": _rules(r_rules)},
     }
     text = [
-        "scheme: %s" % pretty(tree),
+        "scheme: %s" % expr,
         "dim: %d" % tree.dim,
         "j-linear level: %d  [%s]" % (jl, ", ".join(r.rule for r in j_rules)),
         "range level: %d  [%s]" % (rl, ", ".join(r.rule for r in r_rules)),
@@ -129,6 +128,7 @@ def cmd_range(args) -> None:
     tree = _prepare_smooth(args)
     field = _FIELDS[args.field]
     verdict = sheaf_range(tree, field)
+    expr = pretty(tree)
     i = args.i
     iso_from = verdict.iso_from(i)
     inj_at = i + verdict.level - 1
@@ -139,7 +139,7 @@ def cmd_range(args) -> None:
         result += "; INJECTIVE at j = %d" % inj_at
     payload = {
         "command": "range",
-        "expr": pretty(tree),
+        "expr": expr,
         "assumptions": ["base field %s" % field.name, _smooth_note(args)],
         "degree_i": i,
         "dim": verdict.dim,
@@ -153,7 +153,7 @@ def cmd_range(args) -> None:
         "result": result,
     }
     text = [
-        "scheme: %s (dim %d, %s)" % (pretty(tree), verdict.dim, _smooth_note(args)),
+        "scheme: %s (dim %d, %s)" % (expr, verdict.dim, _smooth_note(args)),
         "range level: %d  [%s]" % (
             verdict.level, ", ".join(r.rule for r in verdict.provenance)),
         result,
@@ -174,11 +174,11 @@ def _cell_cohomology(tree):
     )
 
 
-def _check_expansion(tree, total) -> None:
+def _check_expansion(expr: str, total) -> None:
     if total.total_multiplicity > MAX_EXPANDED_MULTIPLICITY:
         raise UnsupportedQueryError(
             "%s has total multiplicity %d; cokernel and cohomology --j "
-            "expand at most %d" % (pretty(tree), total.total_multiplicity,
+            "expand at most %d" % (expr, total.total_multiplicity,
                                    MAX_EXPANDED_MULTIPLICITY)
         )
 
@@ -186,16 +186,17 @@ def _check_expansion(tree, total) -> None:
 def cmd_cohomology(args) -> None:
     tree = _parse(args.expr)
     degree, total, model = _cell_cohomology(tree)
+    expr = pretty(tree)
     payload = {
         "command": "cohomology",
-        "expr": pretty(tree),
+        "expr": expr,
         "model": model,
         "degree": degree,
         "summands": [list(p) for p in total.summands],
         "rank": total.total_multiplicity,
     }
     text = [
-        "scheme: %s" % pretty(tree),
+        "scheme: %s" % expr,
         "cohomology in degree %d: shifts %s (rank %d)" % (
             degree,
             " ".join("%d^%d" % (s, m) if m > 1 else "%d" % s
@@ -204,15 +205,16 @@ def cmd_cohomology(args) -> None:
         ),
     ]
     if args.j is not None:
-        _check_expansion(tree, total)
+        _check_expansion(expr, total)
         verdict = total.step_verdict(args.j)
+        group = total.describe_at(args.j)
         payload["at_j"] = {
             "j": args.j,
-            "group": total.describe_at(args.j),
+            "group": group,
             "step": verdict.kind.value,
             "step_cokernel": str(verdict.cokernel),
         }
-        text.append("at level j = %d: %s" % (args.j, total.describe_at(args.j)))
+        text.append("at level j = %d: %s" % (args.j, group))
         if verdict.kind is StepKind.ISO:
             text.append("step to level %d: ISO" % (args.j + 1))
         else:
@@ -225,6 +227,7 @@ def cmd_rccm(args) -> None:
     tree = _prepare_smooth(args)
     field = _FIELDS[args.field]
     verdict = rccm_report(tree, args.i, field)
+    expr = pretty(tree)
     i = args.i
     j_lo = i - 2
     j_hi = max(verdict.iso_from(), i) + 1
@@ -245,7 +248,7 @@ def cmd_rccm(args) -> None:
         text_entries.append(line)
     payload = {
         "command": "rccm",
-        "expr": pretty(tree),
+        "expr": expr,
         "assumptions": ["base field %s" % field.name, _smooth_note(args),
                         "valid for every line-bundle twist"],
         "degree_i": i,
@@ -256,7 +259,7 @@ def cmd_rccm(args) -> None:
         "provenance": _rules(verdict.provenance),
     }
     text = [
-        "scheme: %s (dim %d, %s)" % (pretty(tree), verdict.dim, _smooth_note(args)),
+        "scheme: %s (dim %d, %s)" % (expr, verdict.dim, _smooth_note(args)),
         "comparison map in degree %d (any line-bundle twist):" % i,
         "ISO for j >= %d" % verdict.iso_from(),
     ] + text_entries
@@ -266,12 +269,13 @@ def cmd_rccm(args) -> None:
 def cmd_cokernel(args) -> None:
     tree = _parse(args.expr)
     degree, total, model = _cell_cohomology(tree)
+    expr = pretty(tree)
     if args.i != degree:
         raise UnsupportedQueryError(
             "cohomology of %s is computed in degree %d only, got --i %d"
-            % (pretty(tree), degree, args.i)
+            % (expr, degree, args.i)
         )
-    _check_expansion(tree, total)
+    _check_expansion(expr, total)
     j0 = args.j0
     max_shift = total.max_shift if total.max_shift is not None else j0
     j1 = args.j1 if args.j1 is not None else max(max_shift, j0)
@@ -279,7 +283,7 @@ def cmd_cokernel(args) -> None:
     stable_exponent = total.cokernel_exponent(j0)
     payload = {
         "command": "cokernel",
-        "expr": pretty(tree),
+        "expr": expr,
         "model": model,
         "degree_i": degree,
         "j0": j0,
@@ -294,7 +298,7 @@ def cmd_cokernel(args) -> None:
         "stable_exponent": stable_exponent,
     }
     text = [
-        "scheme: %s" % pretty(tree),
+        "scheme: %s" % expr,
         "degree-%d cohomology shifts: %s" % (
             degree, " ".join("%d^%d" % (s, m) if m > 1 else "%d" % s
                              for s, m in total.summands)),
@@ -316,20 +320,22 @@ def cmd_stratify(args) -> None:
         from .schemes import split_order
 
         order = split_order(tree.closure_order)
+        expr, glue_expr = pretty(tree), pretty(glue)
+        jl, rl = glue.j_linear_level(), glue.range_level()
         payload = {
             "command": "stratify",
-            "expr": pretty(tree),
+            "expr": expr,
             "split_order": list(order),
-            "glue_tree": pretty(glue),
-            "j_linear_level": glue.j_linear_level(),
-            "range_level": glue.range_level(),
+            "glue_tree": glue_expr,
+            "j_linear_level": jl,
+            "range_level": rl,
         }
         text = [
-            "stratification: %s" % pretty(tree),
+            "stratification: %s" % expr,
             "split order: %s" % " ".join(str(i) for i in order),
-            "glue tree: %s" % pretty(glue),
-            "j-linear level: %d" % glue.j_linear_level(),
-            "range level: %d" % glue.range_level(),
+            "glue tree: %s" % glue_expr,
+            "j-linear level: %d" % jl,
+            "range level: %d" % rl,
         ]
     else:
         with open(args.file) as fh:
@@ -390,7 +396,7 @@ def cmd_venn(args) -> None:
         "candidate_strata": len(report.strata),
         "partition_check": "PASS" if report.partition_ok else "FAIL",
         "boundary_check": "PASS" if report.boundary_ok else "FAIL",
-        "irreducibility": "declared" if report.declared_irreducible else "not declared",
+        "irreducibility": "declared",
     }
     text = [
         "venn decomposition of %d sets:" % args.n,

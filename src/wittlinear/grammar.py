@@ -27,9 +27,10 @@ refuse it.
 
 pretty() prints the canonical form: "Gm" for rank one, no "@" for the
 trivial twist, cover pairs only in strat orders, parentheses only where
-the left-associating product needs them.  Parsing a pretty-printed tree
-reproduces the tree (smoothness assertions are not part of the grammar
-and are dropped by pretty()).
+the left-associating product needs them.  Each node kind's form is its
+text printer in schemes.NODE_KINDS, next to its provenance label.
+Parsing a pretty-printed tree reproduces the tree (smoothness
+assertions are not part of the grammar and are dropped by pretty()).
 
 The parser is recursive descent, so nesting is bounded by the
 interpreter's recursion limit (a few hundred levels); deeper input is
@@ -276,48 +277,6 @@ def parse_expr(text: str) -> SchemeExpr:
     return node
 
 
-def _pretty_torus_cell(x: TorusCell, kids: list) -> str:
-    if x.d == 0:
-        return "A^%d" % x.n
-    gm = "Gm" if x.d == 1 else "Gm^%d" % x.d
-    return gm if x.n == 0 else "A^%d * %s" % (x.n, gm)
-
-
-def _pretty_proj_times_torus(x: ProjTimesTorus, kids: list) -> str:
-    s = "P^%d" % x.c
-    if not x.twist.is_trivial:
-        s += " @%s" % x.twist
-    if x.e == 1:
-        s += " * Gm"
-    elif x.e > 1:
-        s += " * Gm^%d" % x.e
-    return s
-
-
-def _pretty_product(x: Product, kids: list) -> str:
-    # the product chain associates left, so only a product on the right
-    # would reassociate and needs parentheses
-    return ("%s * (%s)" if isinstance(x.right, Product) else "%s * %s") % tuple(kids)
-
-
-def _pretty_stratified(x: Stratified, kids: list) -> str:
-    pairs = ", ".join("%d<%d" % p for p in x.closure_order.cover_pairs())
-    return "strat(%s; %s)" % (", ".join(kids), pairs)
-
-
-# the printed form of each node kind, given its children's printed forms
-_PRETTY = {
-    "empty": lambda x, kids: "empty",
-    "affine": lambda x, kids: "A^%d" % x.n,
-    "torus_cell": _pretty_torus_cell,
-    "proj_times_torus": _pretty_proj_times_torus,
-    "open_glue": lambda x, kids: "open(%s, %s)" % tuple(kids),
-    "closed_glue": lambda x, kids: "closed(%s, %s)" % tuple(kids),
-    "product": _pretty_product,
-    "stratified": _pretty_stratified,
-}
-
-
 def pretty(x: SchemeExpr) -> str:
     """Canonical text form; parse(pretty(t)) == t for parser-image trees."""
-    return fold_tree(x, lambda t, kids: _PRETTY[kind_of(t).name](t, kids))
+    return fold_tree(x, lambda t, kids: kind_of(t).text(t, kids))

@@ -38,11 +38,9 @@ from enum import Enum
 from .cells import h0_torus_cells
 from .schemes import (
     Affine,
-    Empty,
     OpenGlue,
     RuleApplication,
     SchemeExpr,
-    TorusCell,
     as_torus_cell,
     range_level_with_rules,
 )
@@ -199,9 +197,10 @@ def sheaf_range(x: SchemeExpr, field: FieldCapability = REAL) -> SheafRangeVerdi
             "conversion; assert smoothness explicitly if it is known"
         )
     base = ibar_range(x, field)
+    # the fold visits the root last, so its last record names x
     rules = base.provenance + (
-        RuleApplication(x.label(), "smooth-degree-conversion", (base.iso_diag,),
-                        base.iso_diag),
+        RuleApplication(base.provenance[-1].node, "smooth-degree-conversion",
+                        (base.iso_diag,), base.iso_diag),
     )
     return SheafRangeVerdict(
         level=base.iso_diag,
@@ -287,9 +286,11 @@ def rccm_report(x: SchemeExpr, i: int,
     below the range each missed step costs at most one factor of 2 on
     the image.
     """
-    lifted = lift_to_twisted_ideal(sheaf_range(x, field))
+    graded = sheaf_range(x, field)
+    lifted = lift_to_twisted_ideal(graded)
+    # the conversion record closing graded's provenance names x
     rules = lifted.provenance + (
-        RuleApplication(x.label(), "comparison-factorization",
+        RuleApplication(graded.provenance[-1].node, "comparison-factorization",
                         (lifted.level,), lifted.level),
     )
     return RccmVerdict(i=i, level=lifted.level, dim=lifted.dim, provenance=rules)
@@ -387,11 +388,7 @@ def t_linear_verdict_sheaf(x: SchemeExpr, i: int, j: int,
     """Same analysis with (i, j) in sheaf indexing.
 
     x is open inside affine space, hence smooth, so the conversion
-    (a, b) = (dim - i, j - dim) is always available.
+    (a, b) = (dim - i, j - dim) is always available; t_linear_verdict
+    checks the shape.
     """
-    if not (isinstance(x, OpenGlue) and isinstance(x.ambient, Affine)):
-        raise TShapeRequiredError(
-            "splitting analysis needs the shape open(A^n, Z)"
-        )
-    m = x.dim
-    return t_linear_verdict(x, m - i, j - m, oracle)
+    return t_linear_verdict(x, x.dim - i, j - x.dim, oracle)

@@ -378,10 +378,13 @@ class NodeKind:
     """Everything that differs between node kinds, in one place.
 
     name and fields give the JSON form: each field is (JSON key,
-    attribute, codec).  label(node, child_labels) is the compact form
-    used in provenance.  j_rule and range_rule are (rule name,
-    level(node, child_levels)) pairs for the two folds.  cell(node) is
-    (n, d) for the leaf kinds that are structurally A^n x Gm^d.
+    attribute, codec).  The two printers take (node, the children's
+    printed forms): label gives the compact form used in provenance,
+    text the canonical expression that grammar.pretty() prints and
+    grammar.parse_expr() reads back (the label's form where not given).
+    j_rule and range_rule are (rule name, level(node, child_levels))
+    pairs for the two folds.  cell(node) is (n, d) for the leaf kinds
+    that are structurally A^n x Gm^d.
     """
 
     cls: type
@@ -390,26 +393,47 @@ class NodeKind:
     label: Callable[[SchemeExpr, list], str]
     j_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
     range_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
+    text: Callable[[SchemeExpr, list], str] | None = None
     cell: Callable[[SchemeExpr], tuple[int, int]] | None = None
 
+    def __post_init__(self) -> None:
+        if self.text is None:
+            object.__setattr__(self, "text", self.label)
 
-def _gm_label(d: int) -> str:
+
+# Both printers spell the leaves the same way; label drops the spaces
+# around "*" and "@".
+def _gm(d: int) -> str:
     return "Gm" if d == 1 else "Gm^%d" % d
 
 
-def _torus_cell_label(x: TorusCell, kids: list) -> str:
+def _torus_cell_form(x: TorusCell, star: str) -> str:
     if x.d == 0:
         return "A^%d" % x.n
-    return _gm_label(x.d) if x.n == 0 else "A^%d*%s" % (x.n, _gm_label(x.d))
+    return _gm(x.d) if x.n == 0 else "A^%d%s%s" % (x.n, star, _gm(x.d))
 
 
-def _proj_times_torus_label(x: ProjTimesTorus, kids: list) -> str:
+def _proj_times_torus_form(x: ProjTimesTorus, star: str, at: str) -> str:
     s = "P^%d" % x.c
     if not x.twist.is_trivial:
-        s += "@%s" % x.twist
+        s += at + x.twist.name
     if x.e:
-        s += "*" + _gm_label(x.e)
+        s += star + _gm(x.e)
     return s
+
+
+def _product_text(x: Product, kids: list) -> str:
+    # the product chain associates left, so a right factor whose text is
+    # a product at top level would reassociate and needs parentheses
+    r = x.right
+    wrap = (isinstance(r, Product) or isinstance(r, ProjTimesTorus) and r.e > 0
+            or isinstance(r, TorusCell) and r.n > 0 and r.d > 0)
+    return ("%s * (%s)" if wrap else "%s * %s") % tuple(kids)
+
+
+def _stratified_text(x: Stratified, kids: list) -> str:
+    pairs = ", ".join("%d<%d" % p for p in x.closure_order.cover_pairs())
+    return "strat(%s; %s)" % (", ".join(kids), pairs)
 
 
 NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
@@ -428,7 +452,9 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
     ),
     NodeKind(
         TorusCell, "torus_cell", (("n", "n", _INT), ("d", "d", _INT)),
-        label=_torus_cell_label,
+        label=lambda x, kids: _torus_cell_form(x, "*"),
+        # "Gm^0" parses back to this leaf; "A^0" would parse to an Affine
+        text=lambda x, kids: _torus_cell_form(x, " * ") if x.n or x.d else "Gm^0",
         j_rule=("leaf-torus-cell", lambda x, lv: x.d),
         range_rule=("leaf-torus-cell", lambda x, lv: x.d),
         cell=lambda x: (x.n, x.d),
@@ -436,7 +462,8 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
     NodeKind(
         ProjTimesTorus, "proj_times_torus",
         (("c", "c", _INT), ("e", "e", _INT), ("twist", "twist", _TWIST)),
-        label=_proj_times_torus_label,
+        label=lambda x, kids: _proj_times_torus_form(x, "*", "@"),
+        text=lambda x, kids: _proj_times_torus_form(x, " * ", " @"),
         # c closed cell decompositions for the projective factor, one
         # torus step per Gm factor; for the range the cells are free
         j_rule=("leaf-proj-cell-chain", lambda x, lv: x.c + x.e),
@@ -457,6 +484,7 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
     NodeKind(
         Product, "product", (("left", "left", _CHILD), ("right", "right", _CHILD)),
         label=lambda x, kids: "%s*%s" % tuple(kids),
+        text=_product_text,
         j_rule=("product-sum", lambda x, lv: sum(lv)),
         range_rule=("product-sum", lambda x, lv: sum(lv)),
     ),
@@ -464,6 +492,7 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
         Stratified, "stratified",
         (("strata", "strata", _CHILDREN), ("closure_pairs", "closure_order", _ORDER)),
         label=lambda x, kids: "strat[%d]" % len(kids),
+        text=_stratified_text,
         # one splitting plus k - 1 further closed decompositions over
         # the worst of the k strata
         j_rule=("stratified-split", lambda x, lv: len(lv) + max(lv)),
@@ -665,9 +694,13 @@ class FinitePosetRealization:
             for k in cs:
                 if not 0 <= k < n:
                     raise InvalidStratificationError("closure index out of range")
-        # ClosureOrder re-checks transitivity and rejects 2-cycles
+        # from_pairs closes the relation and rejects 2-cycles; anything it
+        # had to add was missing from the given closure sets
         pairs = {(k, i) for i, cs in enumerate(closure_sets) for k in cs}
-        object.__setattr__(self, "_order", ClosureOrder.from_pairs(n, pairs))
+        order = ClosureOrder.from_pairs(n, pairs)
+        if len(order.relation) > len(pairs):
+            raise InvalidStratificationError("closure relation must be transitive")
+        object.__setattr__(self, "_order", order)
 
     @property
     def size(self) -> int:
@@ -744,8 +777,6 @@ class VennReport:
     strata: tuple[VennStratum, ...]
     partition_ok: bool
     boundary_ok: bool
-    counterexamples: tuple[str, ...]
-    declared_irreducible: bool
 
     @property
     def nonempty(self) -> tuple[VennStratum, ...]:
@@ -819,8 +850,7 @@ def _check_venn(inter: Sequence[int], strata: Sequence[int]) -> None:
         )
 
 
-def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None,
-                        declared_irreducible: bool = True) -> VennReport:
+def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None) -> VennReport:
     """Decompose a union of n subsets into its 2^n - 1 intersection strata.
 
     The stratum for a nonempty index set J consists of the points lying
@@ -858,7 +888,7 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
                 frozenset(J),
                 frozenset(points[i] for i in _bits(mask)) if mask else empty,
             ))
-    return VennReport(tuple(strata), True, True, (), declared_irreducible)
+    return VennReport(tuple(strata), True, True)
 
 
 def _node_to_dict(x: SchemeExpr, kids: list) -> dict:

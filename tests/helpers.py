@@ -1,10 +1,13 @@
-"""Shared test helpers: random scheme trees, tree surgery, rule replay,
-the environment for CLI child processes."""
+"""Shared test helpers: random scheme trees, a hypothesis strategy for
+parser-image trees, tree surgery, rule replay, the environment for CLI
+child processes."""
 from __future__ import annotations
 
 import os
 import random
 from dataclasses import replace
+
+from hypothesis import strategies as st
 
 from wittlinear import (
     Affine,
@@ -19,7 +22,9 @@ from wittlinear import (
     SchemeExpr,
     Stratified,
     TorusCell,
+    TwistLabel,
 )
+from wittlinear.grammar import _combine
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -78,6 +83,57 @@ def random_tree(rng: random.Random, depth: int) -> SchemeExpr:
     k = rng.randint(1, 3)
     strata = tuple(nonempty(depth - 1) for _ in range(k))
     return Stratified(strata, ClosureOrder.chain(k))
+
+
+def _open_glue(ambient: SchemeExpr, closed: SchemeExpr) -> SchemeExpr:
+    # the removed piece must be empty or smaller than the ambient scheme
+    if closed.is_empty or closed.dim < ambient.dim:
+        return OpenGlue(ambient, closed)
+    return OpenGlue(ambient, Empty())
+
+
+def _stratified(strata: list, pairs: list) -> SchemeExpr:
+    # strata must be nonempty; pairs a < b only, so the closure has no
+    # cycle (dropping empty strata here, not by a filter on the subtree
+    # strategy, keeps hypothesis from retrying draws)
+    strata = [t for t in strata if not t.is_empty] or [Affine(0)]
+    k = len(strata)
+    return Stratified(tuple(strata), ClosureOrder.from_pairs(
+        k, [(a, b) for a, b in pairs if a < b < k]))
+
+
+_TWISTS = st.sampled_from([TwistLabel.trivial(), TwistLabel.o(0), TwistLabel.o(3),
+                           TwistLabel.o(-1), TwistLabel("L")])
+_INDEX = st.integers(0, 2)
+
+# How to draw a node of each kind in schemes.NODE_KINDS, keyed by kind
+# name: leaves directly, inner nodes from a strategy for their subtrees.
+# Products go through the parser's own _combine and torus leaves have
+# n = 0, so every drawn tree is one parse_expr can return.
+TREE_LEAVES = {
+    "empty": st.just(Empty()),
+    "affine": st.builds(Affine, st.integers(0, 3)),
+    "torus_cell": st.builds(TorusCell, st.just(0), st.integers(0, 3)),
+    "proj_times_torus": st.builds(ProjTimesTorus, st.integers(0, 3), st.integers(0, 2),
+                                  _TWISTS),
+}
+TREE_BRANCHES = {
+    "open_glue": lambda sub: st.builds(_open_glue, sub, sub),
+    "closed_glue": lambda sub: st.builds(ClosedGlue, sub, sub),
+    "product": lambda sub: st.builds(_combine, sub, sub),
+    "stratified": lambda sub: st.builds(
+        _stratified,
+        st.lists(sub, min_size=1, max_size=3),
+        st.lists(st.tuples(_INDEX, _INDEX), max_size=3)),
+}
+
+# st.recursive stacks the extend step log2(max_leaves) + 1 times at
+# most, so the trees drawn here are at most 6 levels deep
+parser_trees = st.recursive(
+    st.one_of(*TREE_LEAVES.values()),
+    lambda sub: st.one_of(*(branch(sub) for branch in TREE_BRANCHES.values())),
+    max_leaves=24,
+)
 
 
 def surgery_sites(t: SchemeExpr):

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from helpers import cli_env
-from wittlinear import cli
+from wittlinear import cli, grammar, ranges, schemes, shifted
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -326,6 +327,49 @@ class TestParserReuse:
         assert len(built) == 1
 
 
+class TestOnePassPerQuery:
+    """Each query prints each of its trees once, folds the stratify glue
+    tree once per level, and takes the root label from the fold."""
+
+    CASES = [
+        (["linlevel", "open(A^2, A^0) * Gm"],
+         {"pretty": 1, "j_fold": 1, "range_fold": 1}),
+        (["range", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
+        (["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
+        (["cohomology", "Gm^2", "--j", "0"], {"pretty": 1, "describe_at": 1}),
+        (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"], {"pretty": 1}),
+        # the stratification and its glue tree are two printed trees
+        (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
+         {"pretty": 2, "j_fold": 1, "range_fold": 1}),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv,expected", CASES, ids=[argv[0] for argv, _ in CASES])
+    def test_calls_per_query(self, monkeypatch, capsys, argv, expected, fmt):
+        calls = Counter()
+
+        def count(owner, attr, key):
+            fn = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        # the wrappers stand in both where each function is defined and
+        # where it was imported by name
+        count(grammar, "pretty", "pretty")
+        count(cli, "pretty", "pretty")
+        count(schemes, "j_linear_level_with_rules", "j_fold")
+        count(schemes, "range_level_with_rules", "range_fold")
+        count(ranges, "range_level_with_rules", "range_fold")
+        count(schemes.SchemeExpr, "label", "label")
+        count(shifted.ShiftedIdealSum, "describe_at", "describe_at")
+        assert cli.main(argv + ["--format", fmt]) == 0
+        capsys.readouterr()
+        assert calls == Counter(expected)
+
+
 class TestReimport:
     def test_old_modules_are_freed(self):
         # a process that drops the package from sys.modules and imports it
@@ -369,6 +413,20 @@ class TestStratifyCommand:
         payload = json.loads(proc.stdout)
         assert payload["replay_check"] == "PASS"
         assert payload["split_order"] == [0, 1]
+
+    def test_file_mode_refuses_non_transitive_closure(self, tmp_path, capsys):
+        realization = {
+            "schema_version": 1,
+            "ground": ["a", "b", "c"],
+            "pieces": [["a"], ["b"], ["c"]],
+            "closure": [[0], [0, 1], [1, 2]],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(realization))
+        assert cli.main(["stratify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: closure relation must be transitive\n"
 
     def test_requires_exactly_one_input(self):
         assert run_cli("stratify").returncode == 4

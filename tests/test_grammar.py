@@ -5,8 +5,9 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import random_tree
+from helpers import TREE_BRANCHES, TREE_LEAVES, parser_trees, random_tree
 from wittlinear import (
     Affine,
     ClosedGlue,
@@ -22,9 +23,14 @@ from wittlinear import (
     TwistLabel,
     UnknownTwistWarning,
     as_torus_cell,
+    j_linear_level_with_rules,
     parse_expr,
     pretty,
+    range_level_with_rules,
+    scheme_from_json,
+    scheme_to_json,
 )
+from wittlinear.schemes import NODE_KINDS
 
 
 class TestParsing:
@@ -163,6 +169,22 @@ class TestPretty:
         y = Product(Product(Affine(1), Affine(2)), TorusCell(0, 1))
         assert pretty(y) == "A^1 * A^2 * Gm"
 
+    def test_right_leaves_printed_as_products_get_parentheses(self):
+        assert pretty(Product(Affine(1), ProjTimesTorus(1, 1))) == "A^1 * (P^1 * Gm)"
+        assert pretty(Product(Affine(1), TorusCell(2, 1))) == "A^1 * (A^2 * Gm)"
+        # decided by the node, not the text: a glue that contains a
+        # product is not itself one
+        glue = OpenGlue(Product(Affine(1), TorusCell(0, 1)), Affine(0))
+        assert pretty(Product(Affine(1), glue)) == "A^1 * open(A^1 * Gm, A^0)"
+        assert pretty(Product(Affine(1), ProjTimesTorus(1, 0))) == "A^1 * P^1"
+        # the compact provenance label keeps its flat form
+        assert Product(Affine(1), ProjTimesTorus(1, 1)).label() == "A^1*P^1*Gm"
+
+    def test_rank_zero_torus_prints_as_written(self):
+        assert parse_expr("Gm^0") == TorusCell(0, 0)
+        assert pretty(TorusCell(0, 0)) == "Gm^0"
+        assert TorusCell(0, 0).label() == "A^0"
+
     def test_strat_prints_cover_pairs_only(self):
         x = Stratified((Affine(0), Affine(1), Affine(2)), ClosureOrder.chain(3))
         assert pretty(x) == "strat(A^0, A^1, A^2; 0<1, 1<2)"
@@ -209,3 +231,31 @@ class TestRoundTrip:
             assert t1.range_level() == t0.range_level()
             assert t1.j_linear_level() == t0.j_linear_level()
             assert t1.dim == t0.dim
+
+
+class TestNodeKindProperties:
+    """Contracts every node kind in schemes.NODE_KINDS keeps, on trees
+    drawn by one strategy per kind."""
+
+    def test_strategy_draws_every_kind(self):
+        assert set(TREE_LEAVES) | set(TREE_BRANCHES) == {
+            kind.name for kind in NODE_KINDS.values()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(parser_trees)
+    def test_pretty_parses_back(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnknownTwistWarning)
+            assert parse_expr(pretty(t)) == t
+
+    @settings(max_examples=60, deadline=None)
+    @given(parser_trees)
+    def test_label_names_the_root_record(self, t):
+        label = t.label()
+        assert j_linear_level_with_rules(t)[1][-1].node == label
+        assert range_level_with_rules(t)[1][-1].node == label
+
+    @settings(max_examples=60, deadline=None)
+    @given(parser_trees)
+    def test_json_round_trip(self, t):
+        assert scheme_from_json(scheme_to_json(t)) == t

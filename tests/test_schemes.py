@@ -341,6 +341,18 @@ class TestFinitePosetRealization:
                 (frozenset({"a"}), frozenset({"b"})),
                 (frozenset({0, 1}), frozenset({0, 1})))
 
+    def test_non_transitive_closure_refused(self):
+        # a lies in the closure of b and b in that of c, but a is missing
+        # from the closure of c
+        closure = (frozenset({0}), frozenset({0, 1}), frozenset({1, 2}))
+        with pytest.raises(InvalidStratificationError, match="transitive"):
+            FinitePosetRealization(
+                frozenset("abc"), tuple(frozenset(p) for p in "abc"), closure)
+        transitive = closure[:2] + (frozenset({0, 1, 2}),)
+        r = FinitePosetRealization(
+            frozenset("abc"), tuple(frozenset(p) for p in "abc"), transitive)
+        assert r.replay_split() == (0, 1, 2)
+
     def test_json_round_trip(self):
         r = self.line_with_point()
         data = r.to_json()
