@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cells import (
@@ -73,10 +74,79 @@ def _parse(text: str):
     return tree
 
 
+def _to_json(value) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True).
+
+    Only the types a v1 payload holds are written: dict with str keys,
+    list, tuple, str, int, bool and None; anything else is a TypeError.
+    Strings go through the json module's C escaper, and a list of only
+    str or only int (no bool) is written by one join.
+    """
+    out: list[str] = []
+    _write_json(value, "", out)
+    return "".join(out)
+
+
+# exact types written without a call of their own; bool, None and
+# subclasses take the full path
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append the pieces of value, nested at this indent, to out."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            head += encode_basestring_ascii(key) + ": "
+            write = _SCALAR_TEXT.get(type(item))
+            if write is None:
+                out.append(head)
+                _write_json(item, inner, out)
+            else:
+                out.append(head + write(item))
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is not None:
+            out.append("[\n" + inner + sep.join(map(write, value)) + "\n" + indent + "]")
+            return
+        head = "[\n" + inner
+        for item in value:
+            out.append(head)
+            _write_json(item, inner, out)
+            head = sep
+        out.append("\n" + indent + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         payload["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_to_json(payload))
     else:
         for line in text_lines:
             print(line)

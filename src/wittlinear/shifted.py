@@ -172,7 +172,12 @@ class ShiftedIdealSum:
 
     @classmethod
     def from_pairs(cls, pairs) -> "ShiftedIdealSum":
-        return cls(tuple(pairs))
+        # not tuple(pairs): tuple() of a generator grows by resizing, which
+        # in CPython moves blocks between the per-size tuple free lists, so
+        # a long-running process fills them to their cap (2000 tuples of
+        # each size) until a full garbage collection.  __post_init__ stores
+        # its own tuple anyway.
+        return cls(list(pairs))
 
     @classmethod
     def empty(cls) -> "ShiftedIdealSum":
@@ -192,7 +197,8 @@ class ShiftedIdealSum:
 
     def evaluate(self, j: int) -> tuple[tuple[IdealLevel, int], ...]:
         """The group at level j as (ideal power, multiplicity) pairs."""
-        return tuple((IdealLevel(j - s), m) for s, m in self.summands)
+        # from a list, not a generator: see from_pairs
+        return tuple([(IdealLevel(j - s), m) for s, m in self.summands])
 
     def describe_at(self, j: int) -> str:
         if self.is_empty:

@@ -69,3 +69,10 @@ def split_order(size: int, relation) -> tuple[int, ...]:
         out.append(pick)
         remaining.remove(pick)
     return tuple(out + remaining)
+
+
+def realization_closures(strata) -> list[frozenset]:
+    """For (members, points) strata, the indices of the strata whose
+    members contain each stratum's own, by comparing every pair."""
+    return [frozenset(k for k, (other, _) in enumerate(strata) if members <= other)
+            for members, _ in strata]

@@ -9,6 +9,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import cli_env
 from wittlinear import cli, grammar, ranges, schemes, shifted
@@ -300,6 +302,41 @@ class TestMalformedFiles:
         assert err.startswith("error:")
 
 
+# text with non-ASCII, astral, control and lone surrogate characters
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "\ud800", "\U0001f600"])))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**60, 10**60), JSON_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+        # the lists the writer joins in one step, and near misses of them
+        st.lists(st.integers(), max_size=5),
+        st.lists(JSON_TEXT, max_size=5),
+        st.lists(st.one_of(st.booleans(), st.integers()), max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """cli._to_json prints what json.dumps(indent=2, sort_keys=True) does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        1.5, [1, 2.0], {"a": {1, 2}}, {1: "a"}, {"a": [{None: 0}]}, b"x",
+    ], ids=["float", "float-in-int-list", "set", "int-key", "none-key", "bytes"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._to_json(value)
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["linlevel", "A^1 * Gm"],
@@ -428,6 +465,22 @@ class TestStratifyCommand:
         assert out == ""
         assert err == "error: closure relation must be transitive\n"
 
+    @pytest.mark.parametrize("closure,pieces", [
+        # true would be read as piece 1
+        ([[0], [True, 1]], [["a"], ["b"]]),
+        # two distinct points that both print as 1
+        ([[0], [1]], [[1], ["1"]]),
+    ], ids=["boolean-index", "points-print-alike"])
+    def test_file_mode_refuses_ambiguous_files(self, tmp_path, capsys, closure, pieces):
+        realization = {"schema_version": 1, "ground": [p for ps in pieces for p in ps],
+                       "pieces": pieces, "closure": closure}
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(realization))
+        assert cli.main(["stratify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_requires_exactly_one_input(self):
         assert run_cli("stratify").returncode == 4
         proc = run_cli("stratify", "strat(A^0; )", "--file", "x.json")
@@ -446,6 +499,17 @@ class TestVennCommand:
                        os.path.join(DATA, "generic3.json"))
         assert proc.returncode == 2
         assert "expected 2 sets" in proc.stderr
+
+    @pytest.mark.parametrize("sets", [[[1, "1"], ["1"]], [[1], ["1"]]],
+                             ids=["within-a-set", "across-sets"])
+    def test_points_printing_alike_exit_2(self, tmp_path, capsys, sets):
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps({"schema_version": 1, "sets": sets}))
+        assert cli.main(["venn", "2", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: sets holds distinct points")
+        assert err.endswith("that print the same\n")
 
     def test_text_mode_lists_strata(self):
         proc = run_cli("venn", "3", "--file",

@@ -25,6 +25,8 @@ from wittlinear import (
     Stratified,
     TorusCell,
     TwistLabel,
+    VennReport,
+    VennStratum,
     as_torus_cell,
     j_linear_level_with_rules,
     range_level_with_rules,
@@ -481,6 +483,19 @@ class TestBitsetCombinatorics:
         assert order.cover_pairs() == ref.cover_pairs(size, closure)
         assert split_order(order) == ref.split_order(size, closure)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 29)), min_size=1, max_size=6))
+    def test_realization_closures_match_pairwise_reference(self, sets):
+        report = venn_stratification(sets)
+        live = [(s.members, s.points) for s in report.nonempty]
+        if not live:
+            with pytest.raises(InvalidStratificationError):
+                report.to_realization()
+            return
+        realization = report.to_realization()
+        assert realization.pieces == tuple(points for _, points in live)
+        assert list(realization.closure_sets) == ref.realization_closures(live)
+
     def test_two_cycle_names_the_lowest_pair(self):
         everything = frozenset((a, b) for a in range(3) for b in range(3))
         with pytest.raises(InvalidStratificationError, match="strata 0 and 1 "):
@@ -522,6 +537,19 @@ class TestScale:
         assert len(report.strata) == 2**n - 1
         assert len(report.nonempty) == 2**n - 1
         assert all(len(s.points) == 1 for s in report.strata)
+
+    @pytest.mark.parametrize("masks", [
+        [1 << j for j in range(20)],
+        random.Random(20).sample(range(1, 1 << 20), 200),
+    ], ids=["20-singletons", "200-random-patterns"])
+    def test_sparse_realization_over_20_sets(self, masks):
+        # few live strata over many sets: scanning the live masks is far
+        # shorter than enumerating 2^19 supersets per stratum
+        strata = tuple(VennStratum(frozenset(j for j in range(20) if m >> j & 1),
+                                   frozenset([m])) for m in masks)
+        realization = VennReport(strata, True, True).to_realization()
+        live = [(s.members, s.points) for s in strata]
+        assert list(realization.closure_sets) == ref.realization_closures(live)
 
 
 class TestSchemeJson:
