@@ -42,7 +42,6 @@ from .schemes import (
     Stratified,
     as_torus_cell,
     json_point_lists,
-    json_points,
     venn_stratification,
     SCHEMA_VERSION,
 )
@@ -79,8 +78,10 @@ def _to_json(value) -> str:
 
     Only the types a v1 payload holds are written: dict with str keys,
     list, tuple, str, int, bool and None; anything else is a TypeError.
-    Strings go through the json module's C escaper, and a list of only
-    str or only int (no bool) is written by one join.
+    Strings go through the json module's C escaper, a list of only str
+    or only int (no bool) is written by one join, and a list of dicts
+    with one set of str keys (provenance records, venn strata, rccm
+    entries) row by row, with its key heads built once.
     """
     out: list[str] = []
     _write_json(value, "", out)
@@ -90,6 +91,53 @@ def _to_json(value) -> str:
 # exact types written without a call of their own; bool, None and
 # subclasses take the full path
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _joined(value, indent: str) -> str | None:
+    """The text of value if it is a non-empty list or tuple of only str
+    or only int, nested at indent; None otherwise."""
+    kinds = set(map(type, value))
+    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if write is None:
+        return None
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(write, value)) + "\n" + indent + "]"
+
+
+def _write_rows(rows, indent: str, out: list[str]) -> bool:
+    """Append rows, the dicts of a list nested at indent, if they share
+    one non-empty set of str keys; False, with nothing appended, if not."""
+    keys = rows[0].keys()
+    if not keys or not all(type(key) is str for key in keys) or not all(
+            type(row) is dict and row.keys() == keys for row in rows):
+        return False
+    keys = sorted(keys)
+    inner = indent + "  "
+    field = inner + "  "
+    heads = [",\n" + field + encode_basestring_ascii(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    columns = list(zip(keys, heads))
+    sep = "[\n" + inner
+    for row in rows:
+        out.append(sep)
+        for key, head in columns:
+            item = row[key]
+            write = _SCALAR_TEXT.get(type(item))
+            if write is not None:
+                text = write(item)
+            elif type(item) is list:
+                text = _joined(item, field) if item else "[]"
+            else:
+                text = None
+            out.append(head)
+            if text is not None:
+                out.append(text)
+            else:
+                _write_json(item, field, out)
+        out.append("\n" + inner + "}")
+        sep = ",\n" + inner
+    out.append("\n" + indent + "]")
+    return True
 
 
 def _write_json(value, indent: str, out: list[str]) -> None:
@@ -116,18 +164,18 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, value))
-        write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        if write is not None:
-            out.append("[\n" + inner + sep.join(map(write, value)) + "\n" + indent + "]")
+        text = _joined(value, indent)
+        if text is not None:
+            out.append(text)
             return
+        if type(value[0]) is dict and _write_rows(value, indent, out):
+            return
+        inner = indent + "  "
         head = "[\n" + inner
         for item in value:
             out.append(head)
             _write_json(item, inner, out)
-            head = sep
+            head = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -436,10 +484,8 @@ def cmd_venn(args) -> None:
         raise ValueError("%s does not hold a JSON object" % args.file)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version in %s" % args.file)
-    sets = json_point_lists(data["sets"], "sets")
     ground = data.get("ground")
-    if ground is not None:
-        json_points(ground, "ground")
+    sets = json_point_lists(data["sets"], "sets", ground)
     if len(sets) != args.n:
         raise ValueError(
             "expected %d sets, file has %d" % (args.n, len(sets)))

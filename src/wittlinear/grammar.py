@@ -32,16 +32,31 @@ text printer in schemes.NODE_KINDS, next to its provenance label.
 Parsing a pretty-printed tree reproduces the tree (smoothness
 assertions are not part of the grammar and are dropped by pretty()).
 
-The parser is recursive descent, so nesting is bounded by the
-interpreter's recursion limit (a few hundred levels); deeper input is
-a ParseError.  pretty() and the folds in schemes walk the tree
+The tokenizer is one compiled regex scanned over the text: each match
+is optional whitespace (space, tab, carriage return, newline) and then
+an integer (an optional "-" and ASCII digits), a name (an ASCII letter
+or "_", then ASCII letters, digits or "_"), one punctuation character,
+or any other character, which is a ParseError.  So a digit or letter
+outside ASCII, such as a superscript two, is an unexpected character
+and never a number.  Tokens are plain (kind, text, offset) tuples; a
+ParseError turns its offset into a line and column only when it is
+raised (a newline starts a line; every other character, tab and
+carriage return included, is one column).
+
+The parser is recursive descent over the token list, two interpreter
+frames per nesting level, so nesting is bounded by the interpreter's
+recursion limit (a few hundred levels); deeper input is a ParseError
+("expression nests too deeply").  The limit stays because what lies
+past it cannot be printed safely yet: v1 provenance repeats each
+subtree's label at every node, so its size grows with the square of
+the depth.  pretty() and the folds in schemes walk the tree
 iteratively, so they take trees of any depth.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
-from dataclasses import dataclass
 
 from .schemes import (
     Affine,
@@ -74,182 +89,154 @@ class UnknownTwistWarning(UserWarning):
     pass
 
 
-_PUNCT = {
-    "^": "CARET", "*": "STAR", "@": "AT", "(": "LPAREN", ")": "RPAREN",
-    ",": "COMMA", ";": "SEMI", "<": "LT",
-}
+# whitespace, then one token: an integer, a name, one punctuation
+# character, or (group 4) any other character, which is an error
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([\^*@(),;<])|(.))",
+    re.DOTALL,
+)
+# the kind of each group; a punctuation token's kind is its character
+_KINDS = (None, "INT", "NAME", None)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """A ParseError at offset of text, with its line and column."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("EOF", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, ending with ("EOF", "", len(text))."""
+    tokens = []
+    # the scan stops before trailing whitespace, which would otherwise end
+    # in a match of its last character as an unexpected one
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r\n"))):
+        group = m.lastindex
+        if group == 4:
+            raise _error(text, "unexpected character %r" % m[4], m.start(4))
+        token = m[group]
+        tokens.append((_KINDS[group] or token, token, m.start(group)))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of text, read by index."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, offset: int | None = None) -> ParseError:
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        return _error(self.text, message, offset)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str, what: str) -> str:
+        found, token, offset = self.tokens[self.pos]
+        if found != kind:
+            raise self.fail("expected %s, found %r" % (what, token or "end of input"), offset)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                "expected %s, found %r" % (what, tok.text or "end of input"),
-                tok.line, tok.col,
-            )
-        return self.next()
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return token
 
     def nat(self, what: str) -> int:
-        tok = self.expect("INT", what)
-        value = int(tok.text)
+        value = int(self.expect("INT", what))
         if value < 0:
-            raise ParseError("%s must be non-negative" % what, tok.line, tok.col)
+            raise self.fail("%s must be non-negative" % what, self.tokens[self.pos - 1][2])
         return value
 
     def parse_expr(self) -> SchemeExpr:
         node = self.parse_term()
-        while self.peek().kind == "STAR":
-            self.next()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
             node = _combine(node, self.parse_term())
         return node
 
     def parse_term(self) -> SchemeExpr:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.next()
+        kind, name, offset = self.tokens[self.pos]
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return inner
-        if tok.kind != "NAME":
+        if kind != "NAME":
             raise self.fail("expected a scheme term, found %r"
-                            % (tok.text or "end of input"))
-        name = self.next().text
+                            % (name or "end of input"), offset)
+        self.pos += 1
         if name == "A":
-            self.expect("CARET", "'^'")
+            self.expect("^", "'^'")
             return Affine(self.nat("affine dimension"))
         if name == "Gm":
-            if self.peek().kind == "CARET":
-                self.next()
+            if self.tokens[self.pos][0] == "^":
+                self.pos += 1
                 return TorusCell(0, self.nat("torus rank"))
             return TorusCell(0, 1)
         if name == "P":
-            self.expect("CARET", "'^'")
+            self.expect("^", "'^'")
             c = self.nat("projective dimension")
             twist = TwistLabel.trivial()
-            if self.peek().kind == "AT":
-                self.next()
+            if self.tokens[self.pos][0] == "@":
+                self.pos += 1
                 twist = self.parse_twist()
             return ProjTimesTorus(c, 0, twist)
         if name == "open":
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             ambient = self.parse_expr()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             closed = self.parse_expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return OpenGlue(ambient, closed)
         if name == "closed":
-            self.expect("LPAREN", "'('")
+            self.expect("(", "'('")
             closed = self.parse_expr()
-            self.expect("COMMA", "','")
+            self.expect(",", "','")
             open_part = self.parse_expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return ClosedGlue(closed, open_part)
         if name == "strat":
             return self.parse_strat()
         if name == "empty":
             return Empty()
-        raise ParseError("unknown term %r" % name, tok.line, tok.col)
+        raise self.fail("unknown term %r" % name, offset)
 
     def parse_twist(self) -> TwistLabel:
-        tok = self.expect("NAME", "a twist name")
-        if tok.text == "O" and self.peek().kind == "LPAREN":
-            self.next()
-            k_tok = self.expect("INT", "an integer twist degree")
-            self.expect("RPAREN", "')'")
-            return TwistLabel.o(int(k_tok.text))
+        name = self.expect("NAME", "a twist name")
+        if name == "O" and self.tokens[self.pos][0] == "(":
+            self.pos += 1
+            k = int(self.expect("INT", "an integer twist degree"))
+            self.expect(")", "')'")
+            return TwistLabel.o(k)
         warnings.warn(
             "twist %r is not of the form O(<int>); treating it as an opaque label"
-            % tok.text,
+            % name,
             UnknownTwistWarning,
             stacklevel=4,
         )
-        return TwistLabel(tok.text)
+        return TwistLabel(name)
 
     def parse_strat(self) -> SchemeExpr:
-        self.expect("LPAREN", "'('")
+        tokens = self.tokens
+        self.expect("(", "'('")
         strata = [self.parse_expr()]
-        while self.peek().kind == "COMMA":
-            self.next()
+        while tokens[self.pos][0] == ",":
+            self.pos += 1
             strata.append(self.parse_expr())
-        self.expect("SEMI", "';'")
+        self.expect(";", "';'")
         pairs: list[tuple[int, int]] = []
-        if self.peek().kind != "RPAREN":
+        if tokens[self.pos][0] != ")":
             pairs.append(self.parse_pair())
-            while self.peek().kind == "COMMA":
-                self.next()
+            while tokens[self.pos][0] == ",":
+                self.pos += 1
                 pairs.append(self.parse_pair())
-        self.expect("RPAREN", "')'")
+        self.expect(")", "')'")
         order = ClosureOrder.from_pairs(len(strata), pairs)
         return Stratified(tuple(strata), order)
 
     def parse_pair(self) -> tuple[int, int]:
         a = self.nat("a stratum index")
-        self.expect("LT", "'<'")
+        self.expect("<", "'<'")
         b = self.nat("a stratum index")
         return (a, b)
 
@@ -265,15 +252,15 @@ def _combine(left: SchemeExpr, right: SchemeExpr) -> SchemeExpr:
 
 def parse_expr(text: str) -> SchemeExpr:
     """Parse a scheme expression; raises ParseError with line/column."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         node = parser.parse_expr()
     except RecursionError:
         # the parser recurses once per nesting level; report where it gave up
         raise parser.fail("expression nests too deeply") from None
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError("trailing input %r" % tok.text, tok.line, tok.col)
+    kind, token, offset = parser.tokens[parser.pos]
+    if kind != "EOF":
+        raise parser.fail("trailing input %r" % token, offset)
     return node
 
 

@@ -643,14 +643,27 @@ def json_points(value, what: str) -> list:
     return value
 
 
-def json_point_lists(value, what: str) -> list[list]:
-    """value, if it is a JSON array of arrays of points, no two distinct
-    points printing the same (as 1 and "1" would); SchemeError otherwise."""
+def json_point_lists(value, what: str, ground=None) -> list[list]:
+    """value, if it is a JSON array of arrays of points, and ground, if
+    given, an array of points, with no two distinct points among them
+    that compare equal (as 1, 1.0 and true would, in a Python set) or
+    that print the same (as 1 and "1" would); SchemeError otherwise."""
     if not isinstance(value, list):
         raise SchemeError("%s must be an array of arrays of points" % what)
     lists = [json_points(v, "each entry of %s" % what) for v in value]
+    checked = lists
+    if ground is not None:
+        what = "ground and %s" % what
+        checked = [json_points(ground, "ground"), *lists]
+    first: dict = {}
+    for points in checked:
+        for p in points:
+            other = first.setdefault(p, p)
+            if other is not p and (type(other) is not type(p) or str(other) != str(p)):
+                raise SchemeError("%s holds distinct points %r and %r that compare equal"
+                                  % (what, other, p))
     names: dict[str, object] = {}
-    for p in frozenset().union(*lists):
+    for p in first:
         other = names.setdefault(str(p), p)
         if other is not p:
             raise SchemeError("%s holds distinct points %r and %r that print the same"
@@ -758,12 +771,16 @@ class FinitePosetRealization:
             raise InvalidStratificationError("a realization must be a JSON object")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise InvalidStratificationError("unsupported schema_version")
-        closure = json_point_lists(data["closure"], "closure")
-        if not all(type(i) is int for cs in closure for i in cs):
-            raise InvalidStratificationError("closure entries must be piece indices")
+        closure = data["closure"]
+        if not isinstance(closure, list) or not all(
+                isinstance(cs, list) and all(type(i) is int for i in cs) for cs in closure):
+            raise InvalidStratificationError(
+                "closure must be an array of arrays of piece indices")
+        ground = json_points(data["ground"], "ground")
+        pieces = json_point_lists(data["pieces"], "pieces", ground)
         return cls(
-            frozenset(json_points(data["ground"], "ground")),
-            tuple(frozenset(p) for p in json_point_lists(data["pieces"], "pieces")),
+            frozenset(ground),
+            tuple(frozenset(p) for p in pieces),
             tuple(frozenset(cs) for cs in closure),
         )
 

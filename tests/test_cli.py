@@ -96,6 +96,18 @@ class TestRangeCommand:
         assert "error:" in proc.stderr
 
 
+class TestNonAsciiInput:
+    # "A^²" used to exit 2 with int()'s message and no position, and
+    # "A^٣" was answered as A^3
+    @pytest.mark.parametrize("expr,char", [("A^\u00b2", "\u00b2"), ("A^\u0663", "\u0663")],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_unicode_digits_are_unexpected_characters(self, capsys, expr, char):
+        assert cli.main(["linlevel", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unexpected character %r (line 1, column 3)\n" % char
+
+
 class TestLinlevelCommand:
     def test_stratified_example(self):
         proc = run_cli("linlevel", "strat(A^0, A^1; 0<1)", "--format", "json")
@@ -126,6 +138,16 @@ class TestDeepTrees:
         proc = run_cli("range", self.LONG_PRODUCT, "--smooth", "--i", "0")
         assert proc.returncode == 0, proc.stderr
         assert "ISO for j >= 0" in proc.stdout
+
+    def test_open_chain_of_depth_360_answers_in_process(self, capsys):
+        # the deepest open chains the benchmark asks for; the parser's two
+        # frames per level must leave room for them under main()
+        depth = 360
+        expr = "open(" * depth + "A^3" + ", A^0)" * depth
+        assert cli.main(["linlevel", expr, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["j_linear_level"] == payload["range_level"] == depth
+        assert len(payload["provenance"]["j_linear"]) == 2 * depth + 1
 
     def test_over_deep_nesting_exits_2_without_traceback(self):
         depth = 1200
@@ -287,6 +309,10 @@ MALFORMED_FILES = [
     pytest.param("stratify", '{"schema_version": 1, "ground": ["a"], '
                  '"pieces": [["a"]], "closure": [[null]]}', id="stratify-null-index"),
     pytest.param("stratify", "[]", id="stratify-top-level-empty-list"),
+    pytest.param("stratify", '{"schema_version": 1, "ground": null, '
+                 '"pieces": [["a"]], "closure": [[0]]}', id="stratify-null-ground"),
+    pytest.param("stratify", '{"schema_version": 1, "ground": ["a"], '
+                 '"pieces": [["a"]], "closure": [0]}', id="stratify-flat-closure"),
 ]
 
 
@@ -321,6 +347,30 @@ JSON_VALUES = st.recursive(
 )
 
 
+# what a row of a list of dicts may hold: scalars, the lists the writer
+# joins and near misses of them, and nested dicts
+JSON_ROW_VALUES = st.one_of(
+    JSON_SCALARS, st.just([]), st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(JSON_TEXT, min_size=1, max_size=4),
+    st.lists(st.one_of(st.booleans(), st.none(), st.integers(), JSON_TEXT), max_size=4),
+    st.dictionaries(JSON_TEXT, st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3)),
+                    max_size=3),
+)
+
+
+@st.composite
+def json_rows(draw, keys=st.lists(JSON_TEXT, max_size=4, unique=True)):
+    """A list of dicts with one key set, and sometimes one row whose keys
+    differ."""
+    keys = draw(keys)
+    rows = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, JSON_ROW_VALUES)),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(
+            st.dictionaries(JSON_TEXT, JSON_ROW_VALUES, max_size=4))
+    return rows
+
+
 class TestJsonWriter:
     """cli._to_json prints what json.dumps(indent=2, sort_keys=True) does."""
 
@@ -329,12 +379,39 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, value):
         assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
+    @settings(max_examples=150, deadline=None)
+    @given(json_rows(), st.sampled_from(["top", "in-dict", "in-list"]))
+    def test_rows_match_json_dumps(self, rows, where):
+        value = {"top": rows, "in-dict": {"a": {"rows": rows}}, "in-list": [[rows], 1]}[where]
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
     @pytest.mark.parametrize("value", [
         1.5, [1, 2.0], {"a": {1, 2}}, {1: "a"}, {"a": [{None: 0}]}, b"x",
-    ], ids=["float", "float-in-int-list", "set", "int-key", "none-key", "bytes"])
+        [{"a": 1, "b": 1.5}, {"a": 2, "b": 3}], [{"a": [1, 2.0]}, {"a": [3]}],
+        [{1: "a"}, {1: "b"}], [{"a": 1, 2: 3}, {"a": 1, 2: 3}], [{"a": {1, 2}}, {"a": 1}],
+    ], ids=["float", "float-in-int-list", "set", "int-key", "none-key", "bytes",
+            "float-in-row", "float-in-row-list", "int-key-rows", "mixed-key-rows",
+            "set-in-row"])
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             cli._to_json(value)
+
+    def test_rows_name_a_non_str_key_as_single_dicts_do(self):
+        for value in ({1: "a"}, [{1: "a"}, {1: "b"}]):
+            with pytest.raises(TypeError, match="^keys must be str, not int$"):
+                cli._to_json(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(json_rows(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True)), st.data())
+    def test_a_float_or_a_non_str_key_in_a_row_raises(self, rows, data):
+        row = data.draw(st.sampled_from(rows))
+        if data.draw(st.booleans()) and row:
+            row[data.draw(st.sampled_from(sorted(row)))] = data.draw(st.floats())
+        else:
+            for r in rows:
+                r[data.draw(st.sampled_from([0, None, 1.5, (1,)]))] = 0
+        with pytest.raises(TypeError):
+            cli._to_json(rows)
 
 
 class TestParserReuse:
@@ -481,6 +558,17 @@ class TestStratifyCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_file_mode_refuses_a_ground_point_equal_to_a_piece_point(self, tmp_path, capsys):
+        realization = {"schema_version": 1, "ground": [1, 2],
+                       "pieces": [[True], [2]], "closure": [[0], [0, 1]]}
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(realization))
+        assert cli.main(["stratify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: ground and pieces holds distinct points 1 and True "
+                       "that compare equal\n")
+
     def test_requires_exactly_one_input(self):
         assert run_cli("stratify").returncode == 4
         proc = run_cli("stratify", "strat(A^0; )", "--file", "x.json")
@@ -510,6 +598,21 @@ class TestVennCommand:
         assert out == ""
         assert err.startswith("error: sets holds distinct points")
         assert err.endswith("that print the same\n")
+
+    @pytest.mark.parametrize("data,points", [
+        ({"sets": [[1], [True]]}, "1 and True"),
+        ({"sets": [[1], [1.0]]}, "1 and 1.0"),
+        ({"sets": [[0.0, 1], [-0.0]]}, "0.0 and -0.0"),
+        ({"ground": [1, 2], "sets": [[True], [2]]}, "1 and True"),
+    ], ids=["true-and-1", "1-and-1.0", "signed-zeros", "ground-and-set"])
+    def test_points_comparing_equal_exit_2(self, tmp_path, capsys, data, points):
+        # a Python set would merge these into one point
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps({"schema_version": 1, **data}))
+        assert cli.main(["venn", "2", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("holds distinct points %s that compare equal\n" % points)
 
     def test_text_mode_lists_strata(self):
         proc = run_cli("venn", "3", "--file",

@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grammar_reference
 from helpers import TREE_BRANCHES, TREE_LEAVES, parser_trees, random_tree
 from wittlinear import (
     Affine,
@@ -103,6 +105,25 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_expr("A^1 $")
 
+    @pytest.mark.parametrize("text,char,col", [
+        ("A^\u00b2", "\u00b2", 3),    # superscript two
+        ("A^\u0663", "\u0663", 3),    # Arabic-Indic three
+        ("A^1 * Gm^\uff12", "\uff12", 10),    # fullwidth two
+        ("\u00c5^1", "\u00c5", 1),    # a letter outside ASCII
+        ("open(A^1,\n A\u00b9)", "\u00b9", 3),
+    ], ids=["superscript", "arabic-indic", "fullwidth", "letter", "second-line"])
+    def test_only_ascii_digits_and_letters_make_tokens(self, text, char, col):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert info.value.message == "unexpected character %r" % char
+        assert info.value.col == col
+        assert info.value.line == text.count("\n") + 1
+
+    def test_tabs_and_carriage_returns_are_one_column(self):
+        with pytest.raises(ParseError) as info:
+            parse_expr("\t\r\nA^1 *\r\t$")
+        assert (info.value.line, info.value.col) == (2, 8)
+
     def test_line_and_column_are_reported(self):
         try:
             parse_expr("open(A^1,\n   %)")
@@ -137,6 +158,66 @@ class TestNestingDepth:
         tree = parse_expr(" * ".join(["Gm"] * 2000))
         assert tree.dim == 2000
         assert as_torus_cell(tree) == (0, 2000)
+
+
+def _outcome(parse, text: str):
+    """What parse does with text: the tree or the exception's type,
+    message and position, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("tree", parse(text))
+        except ValueError as e:
+            result = (type(e), str(e), getattr(e, "line", None), getattr(e, "col", None))
+    return result, [str(w.message) for w in caught]
+
+
+# characters the grammar uses, some it refuses, and whitespace
+_JUNK = st.text(st.sampled_from(" \t\r\n^*@(),;<-_09AGmPOpenclsdtraey$%.\x0b"),
+                min_size=1, max_size=3)
+
+
+@st.composite
+def near_expressions(draw) -> str:
+    """The pretty text of a parser tree after a few random deletions,
+    splices of its own slices and insertions of junk."""
+    text = pretty(draw(parser_trees))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, len(text)))
+        edit = draw(st.sampled_from(("delete", "splice", "junk")))
+        if edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "splice":
+            k = draw(st.integers(0, len(text)))
+            text = text[:k] + text[i:j] + text[k:]
+        else:
+            text = text[:i] + draw(_JUNK) + text[i:]
+    return text
+
+
+class TestAgainstReference:
+    """parse_expr agrees with the character-loop parser it replaced
+    (tests/grammar_reference.py) on ASCII input: the same tree, or the
+    same error at the same line and column."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_expressions())
+    def test_near_expressions(self, text):
+        assert _outcome(parse_expr, text) == _outcome(grammar_reference.parse_expr, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(max_codepoint=127), max_size=40))
+    def test_ascii_text(self, text):
+        assert _outcome(parse_expr, text) == _outcome(grammar_reference.parse_expr, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "\n\n", "A^1  \n ", "A^-1", "A^", "P^1 @O(-2)", "P^1 @L * Gm",
+        "P^1 @O(", "strat(A^0, A^1; 0<1, )", "strat(A^0; 0<5)", "open(A^1 A^0)",
+        "Gm^2 * P^1", "- 1", "A^1 -", "1A", "A_1^2", "(" * 3 + "A^1" + ")" * 2,
+    ])
+    def test_corner_cases(self, text):
+        assert _outcome(parse_expr, text) == _outcome(grammar_reference.parse_expr, text)
 
 
 class TestTwistWarnings:
