@@ -134,9 +134,9 @@ class _Parser:
         return _error(self.text, message, offset)
 
     def expect(self, kind: str, what: str) -> str:
-        found, token, offset = self.tokens[self.pos]
+        found, token, _ = self.tokens[self.pos]
         if found != kind:
-            raise self.fail("expected %s, found %r" % (what, token or "end of input"), offset)
+            raise self.fail("expected %s, found %r" % (what, token or "end of input"))
         self.pos += 1
         return token
 
@@ -162,8 +162,7 @@ class _Parser:
             self.expect(")", "')'")
             return inner
         if kind != "NAME":
-            raise self.fail("expected a scheme term, found %r"
-                            % (name or "end of input"), offset)
+            raise self.fail("expected a scheme term, found %r" % (name or "end of input"))
         self.pos += 1
         if name == "A":
             self.expect("^", "'^'")
@@ -258,9 +257,9 @@ def parse_expr(text: str) -> SchemeExpr:
     except RecursionError:
         # the parser recurses once per nesting level; report where it gave up
         raise parser.fail("expression nests too deeply") from None
-    kind, token, offset = parser.tokens[parser.pos]
+    kind, token, _ = parser.tokens[parser.pos]
     if kind != "EOF":
-        raise parser.fail("trailing input %r" % token, offset)
+        raise parser.fail("trailing input %r" % token)
     return node
 
 
