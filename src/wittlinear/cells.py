@@ -11,9 +11,9 @@ degree-c cohomology is the same binomial pattern shifted by c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._frozen import Frozen, set_field
 from .shifted import ShiftedIdealSum
 from .witt import TwistLabel
 
@@ -53,8 +53,7 @@ def expected_twist(c: int) -> TwistLabel:
     return TwistLabel.o(c + 1)
 
 
-@dataclass(frozen=True)
-class CellularComplexSlice:
+class CellularComplexSlice(Frozen):
     """The cellular complex around degree c for P^c x Gm^e.
 
     incoming is the degree c-1 term, current the degree-c term, and
@@ -62,11 +61,15 @@ class CellularComplexSlice:
     computed; every other twist is refused rather than guessed.
     """
 
-    degree: int
-    twist: TwistLabel
-    incoming: ShiftedIdealSum
-    current: ShiftedIdealSum
-    differential: str = "ZERO"
+    _fields = ("degree", "twist", "incoming", "current", "differential")
+
+    def __init__(self, degree: int, twist: TwistLabel, incoming: ShiftedIdealSum,
+                 current: ShiftedIdealSum, differential: str = "ZERO") -> None:
+        set_field(self, "degree", degree)
+        set_field(self, "twist", twist)
+        set_field(self, "incoming", incoming)
+        set_field(self, "current", current)
+        set_field(self, "differential", differential)
 
 
 def cellular_complex_proj_times_torus(c: int, e: int,

@@ -41,7 +41,10 @@ from .schemes import (
     SchemeError,
     Stratified,
     as_torus_cell,
+    j_linear_level_with_rules,
     json_point_lists,
+    range_level_with_rules,
+    split_order,
     venn_stratification,
     SCHEMA_VERSION,
 )
@@ -212,8 +215,6 @@ def _smooth_note(args) -> str:
 
 
 def cmd_linlevel(args) -> None:
-    from .schemes import j_linear_level_with_rules, range_level_with_rules
-
     tree = _parse(args.expr)
     expr = pretty(tree)
     jl, j_rules = j_linear_level_with_rules(tree)
@@ -435,8 +436,6 @@ def cmd_stratify(args) -> None:
         if not isinstance(tree, Stratified):
             raise UnsupportedQueryError("stratify needs a strat(...) expression")
         glue = tree.to_glue_tree()
-        from .schemes import split_order
-
         order = split_order(tree.closure_order)
         expr, glue_expr = pretty(tree), pretty(glue)
         jl, rl = glue.j_linear_level(), glue.range_level()

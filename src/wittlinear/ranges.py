@@ -32,9 +32,9 @@ verdict would wrongly come out ISO.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._frozen import Frozen, replace, set_field
 from .cells import h0_torus_cells
 from .schemes import (
     Affine,
@@ -108,17 +108,20 @@ def _require_field(field: FieldCapability) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RangeVerdict:
+class RangeVerdict(Frozen):
     """Witnessed diagonal in homological indexing.
 
     The step on degree-a homology at grade b is bijective whenever
     a + b >= iso_diag and injective already at a + b = inj_diag.
     """
 
-    iso_diag: int
-    inj_diag: int
-    provenance: tuple[RuleApplication, ...]
+    _fields = ("iso_diag", "inj_diag", "provenance")
+
+    def __init__(self, iso_diag: int, inj_diag: int,
+                 provenance: tuple[RuleApplication, ...]) -> None:
+        set_field(self, "iso_diag", iso_diag)
+        set_field(self, "inj_diag", inj_diag)
+        set_field(self, "provenance", provenance)
 
     def is_iso(self, a: int, b: int) -> bool:
         return a + b >= self.iso_diag
@@ -127,8 +130,7 @@ class RangeVerdict:
         return a + b >= self.inj_diag
 
 
-@dataclass(frozen=True)
-class SheafRangeVerdict:
+class SheafRangeVerdict(Frozen):
     """The same range read in sheaf indexing for a smooth scheme.
 
     level is the converted bound: the step on H^i at sheaf grade j is
@@ -138,11 +140,15 @@ class SheafRangeVerdict:
     the step is certified to have a cokernel.
     """
 
-    level: int
-    dim: int
-    sheaf: str
-    not_surjective: frozenset
-    provenance: tuple[RuleApplication, ...]
+    _fields = ("level", "dim", "sheaf", "not_surjective", "provenance")
+
+    def __init__(self, level: int, dim: int, sheaf: str, not_surjective: frozenset,
+                 provenance: tuple[RuleApplication, ...]) -> None:
+        set_field(self, "level", level)
+        set_field(self, "dim", dim)
+        set_field(self, "sheaf", sheaf)
+        set_field(self, "not_surjective", not_surjective)
+        set_field(self, "provenance", provenance)
 
     def iso_from(self, i: int) -> int:
         return min(i + self.level, self.dim + 1)
@@ -237,8 +243,7 @@ class RccmCase(Enum):
     IMAGE_CONTAINS = "IMAGE_CONTAINS"
 
 
-@dataclass(frozen=True)
-class RccmEntry:
+class RccmEntry(Frozen):
     """Status of the comparison map H^i(ideal grade j) -> singular at one j.
 
     image_contains_power p means the image contains 2^p times the
@@ -246,20 +251,27 @@ class RccmEntry:
     times the image of the grade-i comparison map.
     """
 
-    case: RccmCase
-    image_contains_power: int | None = None
-    image_equals_power: int | None = None
+    _fields = ("case", "image_contains_power", "image_equals_power")
+
+    def __init__(self, case: RccmCase, image_contains_power: int | None = None,
+                 image_equals_power: int | None = None) -> None:
+        set_field(self, "case", case)
+        set_field(self, "image_contains_power", image_contains_power)
+        set_field(self, "image_equals_power", image_equals_power)
 
 
-@dataclass(frozen=True)
-class RccmVerdict:
+class RccmVerdict(Frozen):
     """Range report for the comparison map to singular cohomology in
     degree i, valid for every line-bundle twist."""
 
-    i: int
-    level: int
-    dim: int
-    provenance: tuple[RuleApplication, ...]
+    _fields = ("i", "level", "dim", "provenance")
+
+    def __init__(self, i: int, level: int, dim: int,
+                 provenance: tuple[RuleApplication, ...]) -> None:
+        set_field(self, "i", i)
+        set_field(self, "level", level)
+        set_field(self, "dim", dim)
+        set_field(self, "provenance", provenance)
 
     def iso_from(self) -> int:
         return min(self.i + self.level, self.dim + 1)

@@ -22,9 +22,10 @@ stratification is rewritten as a nested closed decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
+from ._frozen import Frozen, replace, set_field
 from .witt import TwistLabel
 
 __all__ = [
@@ -72,25 +73,58 @@ class InternalConsistencyError(RuntimeError):
     """Raised when a check that is mathematically forced fails anyway."""
 
 
-@dataclass(frozen=True)
-class SchemeExpr:
+class SchemeExpr(Frozen):
     """Base class for scheme construction trees.
 
     smooth_flag is a user assertion overriding the structural default;
-    None means "derive from the construction".  dim, is_empty and the
-    derived smoothness are computed once, at construction, from the
-    children's stored values, so reading them never walks the tree.
+    None means "derive from the construction".  It is a keyword-only
+    argument of every node and the first field of its repr.  dim,
+    is_empty and the derived smoothness are computed once, at
+    construction, from the children's stored values, so reading them
+    never walks the tree.
+
+    Equality and hashing walk the tree iteratively, so they take trees
+    of any depth: _subtrees names the fields that hold children, and the
+    other fields (_data) are compared node by node.  repr recurses; its
+    text grows with the square of the depth anyway.
     """
 
-    smooth_flag: bool | None = field(default=None, kw_only=True)
-    dim: int = field(init=False, repr=False, compare=False)
-    is_empty: bool = field(init=False, repr=False, compare=False)
-    _derived_smooth: bool = field(init=False, repr=False, compare=False)
+    _fields: tuple[str, ...] = ("smooth_flag",)
+    _subtrees: tuple[str, ...] = ()
+    _data = attrgetter("smooth_flag")
+    smooth_flag: bool | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._data = attrgetter(*(f for f in cls._fields if f not in cls._subtrees))
+
+    def __init__(self, *, smooth_flag: bool | None = None) -> None:
+        set_field(self, "smooth_flag", smooth_flag)
 
     def _set_shape(self, dim: int, smooth: bool, is_empty: bool = False) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "is_empty", is_empty)
-        object.__setattr__(self, "_derived_smooth", smooth)
+        set_field(self, "dim", dim)
+        set_field(self, "is_empty", is_empty)
+        set_field(self, "_derived_smooth", smooth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # pairs of nodes still to compare; stops at the first difference
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._data(a) != b._data(b):
+                return False
+            kids_a, kids_b = a.children(), b.children()
+            if len(kids_a) != len(kids_b):
+                return False
+            pairs.extend(zip(kids_a, kids_b))
+        return True
+
+    def __hash__(self) -> int:
+        return fold_tree(self, lambda t, kids: hash((t._data(t), *kids)))
 
     @property
     def smooth(self) -> bool:
@@ -115,54 +149,57 @@ class SchemeExpr:
         return range_level_with_rules(self)[0]
 
 
-@dataclass(frozen=True)
 class Empty(SchemeExpr):
     """The empty scheme; dimension -1 by convention."""
 
-    def __post_init__(self) -> None:
-        self._set_shape(-1, True, is_empty=True)
+    def __init__(self, *, smooth_flag: bool | None = None) -> None:
+        set_field(self, "smooth_flag", smooth_flag)
+        self._set_shape(-1, True, True)
 
 
-@dataclass(frozen=True)
 class Affine(SchemeExpr):
     """Affine space of dimension n."""
 
-    n: int
+    _fields = ("smooth_flag", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, *, smooth_flag: bool | None = None) -> None:
+        if n < 0:
             raise SchemeError("affine dimension must be non-negative")
-        self._set_shape(self.n, True)
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "n", n)
+        self._set_shape(n, True)
 
 
-@dataclass(frozen=True)
 class TorusCell(SchemeExpr):
     """A cell A^n x Gm^d: affine space times a split torus."""
 
-    n: int
-    d: int
+    _fields = ("smooth_flag", "n", "d")
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.d < 0:
+    def __init__(self, n: int, d: int, *, smooth_flag: bool | None = None) -> None:
+        if n < 0 or d < 0:
             raise SchemeError("torus cell parameters must be non-negative")
-        self._set_shape(self.n + self.d, True)
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "n", n)
+        set_field(self, "d", d)
+        self._set_shape(n + d, True)
 
 
-@dataclass(frozen=True)
 class ProjTimesTorus(SchemeExpr):
     """P^c x Gm^e, carrying a line-bundle twist label on the P^c factor."""
 
-    c: int
-    e: int
-    twist: TwistLabel = TwistLabel.trivial()
+    _fields = ("smooth_flag", "c", "e", "twist")
 
-    def __post_init__(self) -> None:
-        if self.c < 0 or self.e < 0:
+    def __init__(self, c: int, e: int, twist: TwistLabel = TwistLabel.trivial(), *,
+                 smooth_flag: bool | None = None) -> None:
+        if c < 0 or e < 0:
             raise SchemeError("projective/torus parameters must be non-negative")
-        self._set_shape(self.c + self.e, True)
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "c", c)
+        set_field(self, "e", e)
+        set_field(self, "twist", twist)
+        self._set_shape(c + e, True)
 
 
-@dataclass(frozen=True)
 class OpenGlue(SchemeExpr):
     """The open complement of a closed piece inside an ambient scheme.
 
@@ -170,47 +207,57 @@ class OpenGlue(SchemeExpr):
     ambient scheme (or be empty), so the complement is dense.
     """
 
-    ambient: SchemeExpr
-    closed: SchemeExpr
+    _fields = ("smooth_flag", "ambient", "closed")
+    _subtrees = ("ambient", "closed")
 
-    def __post_init__(self) -> None:
-        if not self.closed.is_empty and self.closed.dim >= self.ambient.dim:
+    def __init__(self, ambient: SchemeExpr, closed: SchemeExpr, *,
+                 smooth_flag: bool | None = None) -> None:
+        if not closed.is_empty and closed.dim >= ambient.dim:
             raise SchemeError(
                 "removed closed piece must have smaller dimension than the ambient scheme"
             )
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "ambient", ambient)
+        set_field(self, "closed", closed)
         # an open subscheme of a smooth scheme is smooth
-        self._set_shape(self.ambient.dim, self.ambient.smooth, self.ambient.is_empty)
+        self._set_shape(ambient.dim, ambient.smooth, ambient.is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.ambient, self.closed)
 
 
-@dataclass(frozen=True)
 class ClosedGlue(SchemeExpr):
     """A scheme split into a closed piece and its open complement."""
 
-    closed: SchemeExpr
-    open_part: SchemeExpr
+    _fields = ("smooth_flag", "closed", "open_part")
+    _subtrees = ("closed", "open_part")
 
-    def __post_init__(self) -> None:
+    def __init__(self, closed: SchemeExpr, open_part: SchemeExpr, *,
+                 smooth_flag: bool | None = None) -> None:
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "closed", closed)
+        set_field(self, "open_part", open_part)
         # gluing a closed stratum back in usually creates singular points;
         # smoothness of the total space is an assertion, not a derivation
-        self._set_shape(max(self.closed.dim, self.open_part.dim), False,
-                        self.closed.is_empty and self.open_part.is_empty)
+        self._set_shape(max(closed.dim, open_part.dim), False,
+                        closed.is_empty and open_part.is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.closed, self.open_part)
 
 
-@dataclass(frozen=True)
 class Product(SchemeExpr):
-    left: SchemeExpr
-    right: SchemeExpr
+    _fields = ("smooth_flag", "left", "right")
+    _subtrees = ("left", "right")
 
-    def __post_init__(self) -> None:
-        is_empty = self.left.is_empty or self.right.is_empty
-        self._set_shape(-1 if is_empty else self.left.dim + self.right.dim,
-                        self.left.smooth and self.right.smooth, is_empty)
+    def __init__(self, left: SchemeExpr, right: SchemeExpr, *,
+                 smooth_flag: bool | None = None) -> None:
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        is_empty = left.is_empty or right.is_empty
+        self._set_shape(-1 if is_empty else left.dim + right.dim,
+                        left.smooth and right.smooth, is_empty)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return (self.left, self.right)
@@ -230,8 +277,7 @@ def _check_pairs(size: int, pairs: Iterable[tuple[int, int]]) -> None:
             raise InvalidStratificationError("closure pair out of range")
 
 
-@dataclass(frozen=True)
-class ClosureOrder:
+class ClosureOrder(Frozen):
     """The closure relation on stratum indices, stored reflexively and
     transitively closed.  A pair (i, k) means stratum i lies in the
     closure of stratum k.
@@ -240,17 +286,14 @@ class ClosureOrder:
     closure of stratum k; validation and the order queries run on it.
     """
 
-    size: int
-    relation: frozenset[tuple[int, int]]
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("size", "relation")
 
-    def __post_init__(self) -> None:
-        _check_pairs(self.size, self.relation)
-        down = [0] * self.size
-        for i, k in self.relation:
+    def __init__(self, size: int, relation: frozenset[tuple[int, int]]) -> None:
+        _check_pairs(size, relation)
+        down = [0] * size
+        for i, k in relation:
             down[k] |= 1 << i
-        object.__setattr__(self, "down", tuple(down))
-        for k in range(self.size):
+        for k in range(size):
             if not down[k] >> k & 1:
                 raise InvalidStratificationError("closure relation must be reflexive")
         # (a, b) and (b, d) force (a, d): down[b] lies inside down[d]
@@ -263,6 +306,9 @@ class ClosureOrder:
                     raise InvalidStratificationError(
                         "strata %d and %d lie in each other's closure" % (a, b)
                     )
+        set_field(self, "size", size)
+        set_field(self, "relation", relation)
+        set_field(self, "down", tuple(down))
 
     @classmethod
     def from_pairs(cls, size: int, pairs: Iterable[tuple[int, int]]) -> "ClosureOrder":
@@ -314,26 +360,29 @@ class ClosureOrder:
         return sorted((a, b) for (a, b) in self.relation if a != b)
 
 
-@dataclass(frozen=True)
 class Stratified(SchemeExpr):
     """A scheme given by finitely many locally closed strata plus the
     closure relation among them.
     """
 
-    strata: tuple[SchemeExpr, ...]
-    closure_order: ClosureOrder
+    _fields = ("smooth_flag", "strata", "closure_order")
+    _subtrees = ("strata",)
 
-    def __post_init__(self) -> None:
-        if not self.strata:
+    def __init__(self, strata: tuple[SchemeExpr, ...], closure_order: ClosureOrder, *,
+                 smooth_flag: bool | None = None) -> None:
+        if not strata:
             raise SchemeError("a stratification needs at least one stratum")
-        if any(s.is_empty for s in self.strata):
+        if any(s.is_empty for s in strata):
             raise SchemeError("strata must be nonempty")
-        if self.closure_order.size != len(self.strata):
+        if closure_order.size != len(strata):
             raise InvalidStratificationError(
                 "closure order is on %d strata but %d were given"
-                % (self.closure_order.size, len(self.strata))
+                % (closure_order.size, len(strata))
             )
-        self._set_shape(max(s.dim for s in self.strata), False)
+        set_field(self, "smooth_flag", smooth_flag)
+        set_field(self, "strata", strata)
+        set_field(self, "closure_order", closure_order)
+        self._set_shape(max(s.dim for s in strata), False)
 
     def children(self) -> tuple[SchemeExpr, ...]:
         return self.strata
@@ -352,14 +401,16 @@ class Stratified(SchemeExpr):
         return tree
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(Frozen):
     """One rule firing at one tree node: inputs are child levels."""
 
-    node: str
-    rule: str
-    inputs: tuple[int, ...]
-    level: int
+    _fields = ("node", "rule", "inputs", "level")
+
+    def __init__(self, node: str, rule: str, inputs: tuple[int, ...], level: int) -> None:
+        set_field(self, "node", node)
+        set_field(self, "rule", rule)
+        set_field(self, "inputs", inputs)
+        set_field(self, "level", level)
 
 
 # JSON codecs for node fields.  Subtree fields take the children's
@@ -373,8 +424,7 @@ _ORDER = (lambda o: [list(p) for p in o.strict_pairs()],
           lambda v, kids: ClosureOrder.from_pairs(len(kids), (tuple(p) for p in v)))
 
 
-@dataclass(frozen=True)
-class NodeKind:
+class NodeKind(Frozen):
     """Everything that differs between node kinds, in one place.
 
     name and fields give the JSON form: each field is (JSON key,
@@ -387,18 +437,22 @@ class NodeKind:
     that are structurally A^n x Gm^d.
     """
 
-    cls: type
-    name: str
-    fields: tuple[tuple[str, str, object], ...]
-    label: Callable[[SchemeExpr, list], str]
-    j_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
-    range_rule: tuple[str, Callable[[SchemeExpr, tuple], int]]
-    text: Callable[[SchemeExpr, list], str] | None = None
-    cell: Callable[[SchemeExpr], tuple[int, int]] | None = None
+    _fields = ("cls", "name", "fields", "label", "j_rule", "range_rule", "text", "cell")
 
-    def __post_init__(self) -> None:
-        if self.text is None:
-            object.__setattr__(self, "text", self.label)
+    def __init__(self, cls: type, name: str, fields: tuple[tuple[str, str, object], ...],
+                 label: Callable[[SchemeExpr, list], str],
+                 j_rule: tuple[str, Callable[[SchemeExpr, tuple], int]],
+                 range_rule: tuple[str, Callable[[SchemeExpr, tuple], int]],
+                 text: Callable[[SchemeExpr, list], str] | None = None,
+                 cell: Callable[[SchemeExpr], tuple[int, int]] | None = None) -> None:
+        set_field(self, "cls", cls)
+        set_field(self, "name", name)
+        set_field(self, "fields", fields)
+        set_field(self, "label", label)
+        set_field(self, "j_rule", j_rule)
+        set_field(self, "range_rule", range_rule)
+        set_field(self, "text", label if text is None else text)
+        set_field(self, "cell", cell)
 
 
 # Both printers spell the leaves the same way; label drops the spaces
@@ -671,8 +725,7 @@ def json_point_lists(value, what: str, ground=None) -> list[list]:
     return lists
 
 
-@dataclass(frozen=True)
-class FinitePosetRealization:
+class FinitePosetRealization(Frozen):
     """A finite model of a stratified space: a ground set partitioned
     into pieces, with explicit closures given as index sets.
 
@@ -682,19 +735,13 @@ class FinitePosetRealization:
     partial order; a cycle of distinct pieces is rejected.
     """
 
-    ground: frozenset
-    pieces: tuple[frozenset, ...]
-    closure_sets: tuple[frozenset, ...]
-    _order: ClosureOrder = field(init=False, repr=False, compare=False)
+    _fields = ("ground", "pieces", "closure_sets")
 
-    def __post_init__(self) -> None:
-        ground = frozenset(self.ground)
-        pieces = tuple(frozenset(p) for p in self.pieces)
-        closure_sets = tuple(frozenset(int(i) for i in cs) for cs in self.closure_sets)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "closure_sets", closure_sets)
-
+    def __init__(self, ground: frozenset, pieces: tuple[frozenset, ...],
+                 closure_sets: tuple[frozenset, ...]) -> None:
+        ground = frozenset(ground)
+        pieces = tuple(frozenset(p) for p in pieces)
+        closure_sets = tuple(frozenset(int(i) for i in cs) for cs in closure_sets)
         if len(pieces) != len(closure_sets):
             raise InvalidStratificationError("one closure set per piece required")
         if not pieces:
@@ -718,7 +765,10 @@ class FinitePosetRealization:
         # ClosureOrder rejects closure sets that are not transitive or put
         # two pieces in each other's closure, in O(|relation|) steps
         pairs = frozenset((k, i) for i, cs in enumerate(closure_sets) for k in cs)
-        object.__setattr__(self, "_order", ClosureOrder(n, pairs))
+        set_field(self, "ground", ground)
+        set_field(self, "pieces", pieces)
+        set_field(self, "closure_sets", closure_sets)
+        set_field(self, "_order", ClosureOrder(n, pairs))
 
     @property
     def size(self) -> int:
@@ -785,20 +835,25 @@ class FinitePosetRealization:
         )
 
 
-@dataclass(frozen=True)
-class VennStratum:
+class VennStratum(Frozen):
     """One candidate stratum: the points lying in exactly the sets
     indexed by members."""
 
-    members: frozenset
-    points: frozenset
+    _fields = ("members", "points")
+
+    def __init__(self, members: frozenset, points: frozenset) -> None:
+        set_field(self, "members", members)
+        set_field(self, "points", points)
 
 
-@dataclass(frozen=True)
-class VennReport:
-    strata: tuple[VennStratum, ...]
-    partition_ok: bool
-    boundary_ok: bool
+class VennReport(Frozen):
+    _fields = ("strata", "partition_ok", "boundary_ok")
+
+    def __init__(self, strata: tuple[VennStratum, ...], partition_ok: bool,
+                 boundary_ok: bool) -> None:
+        set_field(self, "strata", strata)
+        set_field(self, "partition_ok", partition_ok)
+        set_field(self, "boundary_ok", boundary_ok)
 
     @property
     def nonempty(self) -> tuple[VennStratum, ...]:

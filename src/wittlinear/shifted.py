@@ -18,10 +18,10 @@ cyclic group of that 2-power order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
+from ._frozen import Frozen, set_field
 from .witt import IdealLevel
 
 __all__ = [
@@ -58,8 +58,7 @@ def _divisibility_normal_form(orders: list[int]) -> tuple[int, ...]:
     return tuple(work)
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(Frozen):
     """A finitely generated abelian group in invariant-factor normal form.
 
     torsion_orders is sorted so that each order divides the next; the
@@ -70,21 +69,22 @@ class AbelianGroupPresentation:
     AbelianGroupPresentation(free_rank=0, torsion_orders=(2, 12))
     """
 
-    free_rank: int
-    torsion_orders: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion_orders")
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion_orders: tuple[int, ...] = ()) -> None:
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for o in self.torsion_orders:
+        for o in torsion_orders:
             if o < 2:
                 raise ValueError("torsion orders must be at least 2")
-        for a, b in zip(self.torsion_orders, self.torsion_orders[1:]):
+        for a, b in zip(torsion_orders, torsion_orders[1:]):
             if b % a != 0:
                 raise ValueError(
                     "torsion orders must form a divisibility chain, got %r"
-                    % (self.torsion_orders,)
+                    % (torsion_orders,)
                 )
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion_orders", torsion_orders)
 
     @classmethod
     def from_orders(cls, free_rank: int, orders) -> "AbelianGroupPresentation":
@@ -123,10 +123,12 @@ class AbelianGroupPresentation:
         return " (+) ".join(parts)
 
 
-@dataclass(frozen=True)
-class StepVerdict:
-    kind: StepKind
-    cokernel: AbelianGroupPresentation
+class StepVerdict(Frozen):
+    _fields = ("kind", "cokernel")
+
+    def __init__(self, kind: StepKind, cokernel: AbelianGroupPresentation) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "cokernel", cokernel)
 
     @property
     def is_iso(self) -> bool:
@@ -143,8 +145,7 @@ def _step_verdict(coker_rank: int) -> StepVerdict:
     )
 
 
-@dataclass(frozen=True)
-class ShiftedIdealSum:
+class ShiftedIdealSum(Frozen):
     """A multiset {(shift, multiplicity)} denoting (+)_s (I^{j-s})^m at level j.
 
     Summands are stored sorted by shift with multiplicities merged, so
@@ -157,26 +158,24 @@ class ShiftedIdealSum:
     'Z (+) Z'
     """
 
-    summands: tuple[tuple[int, int], ...]
+    _fields = ("summands",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
         merged: dict[int, int] = {}
-        for shift, mult in self.summands:
+        for shift, mult in summands:
             if mult < 0:
                 raise ValueError("multiplicities must be non-negative")
             if mult:
                 merged[shift] = merged.get(shift, 0) + mult
-        object.__setattr__(
-            self, "summands", tuple(sorted(merged.items()))
-        )
+        set_field(self, "summands", tuple(sorted(merged.items())))
 
     @classmethod
     def from_pairs(cls, pairs) -> "ShiftedIdealSum":
         # not tuple(pairs): tuple() of a generator grows by resizing, which
         # in CPython moves blocks between the per-size tuple free lists, so
         # a long-running process fills them to their cap (2000 tuples of
-        # each size) until a full garbage collection.  __post_init__ stores
-        # its own tuple anyway.
+        # each size) until a full garbage collection.  __init__ stores its
+        # own tuple anyway.
         return cls(list(pairs))
 
     @classmethod

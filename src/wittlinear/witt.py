@@ -16,8 +16,12 @@ single fact the range machinery in the rest of the package leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+from ._frozen import Frozen, set_field
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InvalidFormError",
@@ -44,28 +48,32 @@ class InvalidFormError(ValueError):
     """Raised for degenerate diagonal forms and parity-violating classes."""
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Frozen):
     """A diagonal form <a_1, ..., a_r> with exact rational coefficients.
 
     Coefficients must be nonzero; a zero entry would make the form
     degenerate and is rejected at construction.
 
+    >>> from fractions import Fraction
     >>> DiagonalForm.of(1, -1, Fraction(2, 3)).signature
     1
     """
 
-    entries: tuple[Fraction, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        coerced = tuple(Fraction(e) for e in self.entries)
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        # imported here: fractions loads decimal and numbers, and no
+        # command-line path builds a form
+        from fractions import Fraction
+
+        coerced = tuple(Fraction(e) for e in entries)
         if any(e == 0 for e in coerced):
             raise InvalidFormError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", coerced)
+        set_field(self, "entries", coerced)
 
     @classmethod
     def of(cls, *coeffs: int | Fraction) -> "DiagonalForm":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @property
     def rank(self) -> int:
@@ -79,8 +87,7 @@ class DiagonalForm:
         return "<%s>" % ", ".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class GWClass:
+class GWClass(Frozen):
     """A Grothendieck-Witt class over R, determined by (rank, signature).
 
     rank and signature always have the same parity: each diagonal entry
@@ -94,15 +101,15 @@ class GWClass:
     wittlinear.witt.InvalidFormError: rank 2 and signature 1 differ in parity
     """
 
-    rank: int
-    signature: int
+    _fields = ("rank", "signature")
 
-    def __post_init__(self) -> None:
-        if (self.rank - self.signature) % 2 != 0:
+    def __init__(self, rank: int, signature: int) -> None:
+        if (rank - signature) % 2 != 0:
             raise InvalidFormError(
-                "rank %d and signature %d differ in parity"
-                % (self.rank, self.signature)
+                "rank %d and signature %d differ in parity" % (rank, signature)
             )
+        set_field(self, "rank", rank)
+        set_field(self, "signature", signature)
 
     def __add__(self, other: "GWClass") -> "GWClass":
         return GWClass(self.rank + other.rank, self.signature + other.signature)
@@ -122,11 +129,13 @@ GW_ZERO = GWClass(0, 0)
 GW_ONE = GWClass(1, 1)
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Frozen):
     """A Witt class over R; the signature is a complete invariant."""
 
-    signature: int
+    _fields = ("signature",)
+
+    def __init__(self, signature: int) -> None:
+        set_field(self, "signature", signature)
 
     def __add__(self, other: "WittClass") -> "WittClass":
         return WittClass(self.signature + other.signature)
@@ -141,8 +150,7 @@ class WittClass:
         return WittClass(self.signature * other.signature)
 
 
-@dataclass(frozen=True)
-class IdealLevel:
+class IdealLevel(Frozen):
     """The q-th power of the fundamental ideal, as a subgroup of W(R) = Z.
 
     For q >= 1 this is the subgroup 2^q Z; for q <= 0 it is all of W(R).
@@ -153,7 +161,10 @@ class IdealLevel:
     1
     """
 
-    q: int
+    _fields = ("q",)
+
+    def __init__(self, q: int) -> None:
+        set_field(self, "q", q)
 
     @property
     def generator(self) -> int:
@@ -178,11 +189,13 @@ class IdealLevel:
         return "W(R)" if self.q <= 0 else "I^%d(R)" % self.q
 
 
-@dataclass(frozen=True)
-class TwistLabel:
+class TwistLabel(Frozen):
     """Opaque label for a line-bundle twist, e.g. "trivial" or "O(3)"."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
     @classmethod
     def trivial(cls) -> "TwistLabel":
@@ -210,8 +223,7 @@ class TwistLabel:
         return self.name
 
 
-@dataclass(frozen=True)
-class FieldCapability:
+class FieldCapability(Frozen):
     """Which base fields support the graded step the range rules rest on.
 
     graded_step_iso records whether multiplying by the rank-2 class
@@ -222,8 +234,11 @@ class FieldCapability:
     copy of Z/2 and I^2 = 0, and no doubling map can be onto.
     """
 
-    name: str
-    graded_step_iso: bool
+    _fields = ("name", "graded_step_iso")
+
+    def __init__(self, name: str, graded_step_iso: bool) -> None:
+        set_field(self, "name", name)
+        set_field(self, "graded_step_iso", graded_step_iso)
 
 
 REAL = FieldCapability("R", True)
@@ -261,7 +276,9 @@ def pfister(a: int | Fraction) -> GWClass:
     return gw_class(DiagonalForm.of(a, -1))
 
 
-PFISTER_MINUS_ONE = pfister(-1)
+# pfister(-1) = <-1, -1>, written out so that importing the module
+# builds no DiagonalForm
+PFISTER_MINUS_ONE = GWClass(2, -2)
 
 
 def mult_pfister_minus_one(w: WittClass) -> WittClass:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -24,6 +23,7 @@ from wittlinear import (
     TorusCell,
     TwistLabel,
 )
+from wittlinear._frozen import replace
 from wittlinear.grammar import _combine
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -476,6 +476,8 @@ class TestOnePassPerQuery:
         count(cli, "pretty", "pretty")
         count(schemes, "j_linear_level_with_rules", "j_fold")
         count(schemes, "range_level_with_rules", "range_fold")
+        count(cli, "j_linear_level_with_rules", "j_fold")
+        count(cli, "range_level_with_rules", "range_fold")
         count(ranges, "range_level_with_rules", "range_fold")
         count(schemes.SchemeExpr, "label", "label")
         count(shifted.ShiftedIdealSum, "describe_at", "describe_at")
@@ -499,6 +501,24 @@ class TestReimport:
             "import wittlinear.cli",
             "gc.collect()",
             "sys.exit(old() is not None)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_kept_cli_module_answers_after_a_reimport(self):
+        # the first cli module must fold its own grammar's trees with its
+        # own schemes module, not with the copy imported after it
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import wittlinear.cli as first",
+            "for name in [n for n in sys.modules if n.startswith('wittlinear')]:",
+            "    del sys.modules[name]",
+            "import wittlinear.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [first.main(['linlevel', 'A^1']),",
+            "             first.main(['stratify', 'strat(A^0, A^1; 0<1)'])]",
+            "sys.exit(max(codes))",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=cli_env())

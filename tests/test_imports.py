@@ -1,12 +1,19 @@
-"""Every name a library module imports with "from ... import" is used in it."""
+"""What the package imports: every name a library module imports with
+"from ... import" is used in it, and the command line loads no heavy
+stdlib module."""
 from __future__ import annotations
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from helpers import SRC
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 PACKAGE = os.path.join(SRC, "wittlinear")
 MODULES = sorted(name for name in os.listdir(PACKAGE)
@@ -26,3 +33,40 @@ def test_no_unused_from_imports(name):
         if (alias.asname or alias.name) not in used
     ]
     assert not unused, unused
+
+
+# dataclasses and fractions, and what dataclasses imports: the command
+# line needs none of them
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "fractions")
+SUBMODULES = ("cells", "cli", "grammar", "ranges", "schemes", "shifted", "witt")
+
+
+def test_subcommands_load_no_heavy_stdlib_modules(tmp_path):
+    realization = tmp_path / "realization.json"
+    realization.write_text(json.dumps({"schema_version": 1, "ground": ["a", "b"],
+                                       "pieces": [["a"], ["b"]], "closure": [[0], [0, 1]]}))
+    argvs = [
+        ["linlevel", "open(A^2, A^0) * Gm"],
+        ["range", "A^0 * Gm^3", "--smooth", "--i", "0"],
+        ["cohomology", "P^2 @O(3) * Gm^3", "--j", "2"],
+        ["rccm", "Gm^3", "--i", "0", "--format", "json"],
+        ["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"],
+        ["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
+        ["stratify", "--file", str(realization)],
+        ["venn", "3", "--file", os.path.join(HERE, "data", "generic3.json")],
+    ]
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "import wittlinear.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [wittlinear.cli.main(argv) for argv in %r]" % (argvs,),
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(argvs)
+    assert [m for m in HEAVY if m in result["modules"]] == []
+    # every module stays loaded, since the benchmark's tracer patches them all
+    assert [m for m in SUBMODULES if "wittlinear." + m not in result["modules"]] == []

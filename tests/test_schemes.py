@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -35,6 +36,7 @@ from wittlinear import (
     split_order,
     stratification_to_tree,
     torus_cell_as_glue_tree,
+    parse_expr,
     pretty,
     venn_stratification,
 )
@@ -591,9 +593,8 @@ class TestSchemeJson:
 
 
 class TestDeepTrees:
-    """Every walk but the parser is iterative; trees are built here
-    without the parser, far past the default recursion limit.  Trees
-    are compared through pretty(), since dataclass equality recurses."""
+    """Every walk but the parser and repr is iterative; trees are built
+    here without the parser, far past the default recursion limit."""
 
     DEPTH = 2000
 
@@ -603,11 +604,30 @@ class TestDeepTrees:
             tree = Product(tree, TorusCell(0, 1))
         return tree
 
-    def open_chain(self):
-        tree = Affine(1)
+    def open_chain(self, leaf=Affine(1)):
+        tree = leaf
         for _ in range(self.DEPTH):
             tree = OpenGlue(tree, Affine(0))
         return tree
+
+    def test_equality_and_hash(self):
+        tree = self.open_chain()
+        limit = sys.getrecursionlimit()
+        # the parser takes two frames per nesting level
+        sys.setrecursionlimit(limit + 3 * self.DEPTH)
+        try:
+            back = parse_expr(pretty(tree))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert back is not tree
+        assert back == tree and not back != tree
+        assert hash(back) == hash(tree)
+        # the trees differ only in their deepest leaf
+        deeper = self.open_chain(Affine(2))
+        assert deeper != tree and tree != deeper
+        assert hash(deeper) != hash(tree)
+        assert self.product_chain() == self.product_chain()
+        assert hash(self.product_chain()) == hash(self.product_chain())
 
     def check(self, tree, text, j_level, r_level):
         j, j_rules = j_linear_level_with_rules(tree)
@@ -645,7 +665,6 @@ class TestNodeKinds:
         assert len({kind.name for kind in NODE_KINDS.values()}) == len(NODE_KINDS)
 
     def test_subclasses_use_their_base_kind(self):
-        @dataclass(frozen=True)
         class Line(Affine):
             pass
 
