@@ -56,6 +56,7 @@ from .schemes import (
     VennStratum,
     as_torus_cell,
     j_linear_level_with_rules,
+    levels_with_rules,
     range_level_with_rules,
     scheme_from_json,
     scheme_to_json,

@@ -41,9 +41,8 @@ from .schemes import (
     SchemeError,
     Stratified,
     as_torus_cell,
-    j_linear_level_with_rules,
     json_point_lists,
-    range_level_with_rules,
+    levels_with_rules,
     split_order,
     venn_stratification,
     SCHEMA_VERSION,
@@ -84,10 +83,12 @@ def _to_json(value) -> str:
     Strings go through the json module's C escaper, a list of only str
     or only int (no bool) is written by one join, and a list of dicts
     with one set of str keys (provenance records, venn strata, rccm
-    entries) row by row, with its key heads built once.
+    entries) row by row, with its key heads built once.  A str held in
+    rows is escaped once per call, however many rows hold that object
+    (linlevel's two provenance lists share their labels).
     """
     out: list[str] = []
-    _write_json(value, "", out)
+    _write_json(value, "", out, {})
     return "".join(out)
 
 
@@ -107,9 +108,13 @@ def _joined(value, indent: str) -> str | None:
     return "[\n" + inner + (",\n" + inner).join(map(write, value)) + "\n" + indent + "]"
 
 
-def _write_rows(rows, indent: str, out: list[str]) -> bool:
+def _write_rows(rows, indent: str, out: list[str], escaped: dict) -> bool:
     """Append rows, the dicts of a list nested at indent, if they share
-    one non-empty set of str keys; False, with nothing appended, if not."""
+    one non-empty set of str keys; False, with nothing appended, if not.
+
+    escaped maps id(s) to the text of each str s already written in
+    rows.  The payload holds every such s until the writer returns, so
+    no id is reused; keying by value would hash every long label."""
     keys = rows[0].keys()
     if not keys or not all(type(key) is str for key in keys) or not all(
             type(row) is dict and row.keys() == keys for row in rows):
@@ -126,7 +131,11 @@ def _write_rows(rows, indent: str, out: list[str]) -> bool:
         for key, head in columns:
             item = row[key]
             write = _SCALAR_TEXT.get(type(item))
-            if write is not None:
+            if write is encode_basestring_ascii:
+                text = escaped.get(id(item))
+                if text is None:
+                    text = escaped[id(item)] = write(item)
+            elif write is not None:
                 text = write(item)
             elif type(item) is list:
                 text = _joined(item, field) if item else "[]"
@@ -136,15 +145,16 @@ def _write_rows(rows, indent: str, out: list[str]) -> bool:
             if text is not None:
                 out.append(text)
             else:
-                _write_json(item, field, out)
+                _write_json(item, field, out, escaped)
         out.append("\n" + inner + "}")
         sep = ",\n" + inner
     out.append("\n" + indent + "]")
     return True
 
 
-def _write_json(value, indent: str, out: list[str]) -> None:
-    """Append the pieces of value, nested at this indent, to out."""
+def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
+    """Append the pieces of value, nested at this indent, to out;
+    escaped is _write_rows' memo for this call."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -158,7 +168,7 @@ def _write_json(value, indent: str, out: list[str]) -> None:
             write = _SCALAR_TEXT.get(type(item))
             if write is None:
                 out.append(head)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, escaped)
             else:
                 out.append(head + write(item))
             head = ",\n" + inner
@@ -171,13 +181,13 @@ def _write_json(value, indent: str, out: list[str]) -> None:
         if text is not None:
             out.append(text)
             return
-        if type(value[0]) is dict and _write_rows(value, indent, out):
+        if type(value[0]) is dict and _write_rows(value, indent, out, escaped):
             return
         inner = indent + "  "
         head = "[\n" + inner
         for item in value:
             out.append(head)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, escaped)
             head = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, str):
@@ -217,8 +227,7 @@ def _smooth_note(args) -> str:
 def cmd_linlevel(args) -> None:
     tree = _parse(args.expr)
     expr = pretty(tree)
-    jl, j_rules = j_linear_level_with_rules(tree)
-    rl, r_rules = range_level_with_rules(tree)
+    jl, j_rules, rl, r_rules = levels_with_rules(tree)
     payload = {
         "command": "linlevel",
         "expr": expr,
@@ -438,7 +447,7 @@ def cmd_stratify(args) -> None:
         glue = tree.to_glue_tree()
         order = split_order(tree.closure_order)
         expr, glue_expr = pretty(tree), pretty(glue)
-        jl, rl = glue.j_linear_level(), glue.range_level()
+        jl, _, rl, _ = levels_with_rules(glue)
         payload = {
             "command": "stratify",
             "expr": expr,

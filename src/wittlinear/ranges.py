@@ -353,19 +353,21 @@ def _graded_step_iso(z: SchemeExpr, a: int, b: int,
     below the diagonal no rule applies, so the answer is UNKNOWN rather
     than a guess.
     """
-    if z.is_empty:
-        return TLinearAnswer.ISO
-    if a < 0:
-        return TLinearAnswer.ISO
-    cell = as_torus_cell(z)
-    if cell is not None:
-        n, d = cell
-        if a != n + d:
+    # the step above the diagonal descends to the removed piece: a loop,
+    # so chains of any depth answer
+    while True:
+        if z.is_empty or a < 0:
             return TLinearAnswer.ISO
-        grade = b + n + d
-        obstructed = any(grade - s == -1 for s, _ in h0_torus_cells(n, d).summands)
-        return TLinearAnswer.NOT_ISO if obstructed else TLinearAnswer.ISO
-    if isinstance(z, OpenGlue) and isinstance(z.ambient, Affine):
+        cell = as_torus_cell(z)
+        if cell is not None:
+            n, d = cell
+            if a != n + d:
+                return TLinearAnswer.ISO
+            grade = b + n + d
+            obstructed = any(grade - s == -1 for s, _ in h0_torus_cells(n, d).summands)
+            return TLinearAnswer.NOT_ISO if obstructed else TLinearAnswer.ISO
+        if not (isinstance(z, OpenGlue) and isinstance(z.ambient, Affine)) or a + b < 0:
+            return TLinearAnswer.UNKNOWN
         if a + b == 0:
             v = _vanishes(z.closed, a - 1, -a + 1, oracle)
             if v is Vanishing.ZERO:
@@ -373,10 +375,7 @@ def _graded_step_iso(z: SchemeExpr, a: int, b: int,
             if v is Vanishing.NONZERO:
                 return TLinearAnswer.NOT_ISO
             return TLinearAnswer.UNKNOWN
-        if a + b >= 1:
-            return _graded_step_iso(z.closed, a - 1, b, oracle)
-        return TLinearAnswer.UNKNOWN
-    return TLinearAnswer.UNKNOWN
+        z, a = z.closed, a - 1
 
 
 def t_linear_verdict(x: SchemeExpr, i: int, j: int,

@@ -45,6 +45,7 @@ __all__ = [
     "RuleApplication",
     "j_linear_level_with_rules",
     "range_level_with_rules",
+    "levels_with_rules",
     "split_order",
     "stratification_to_tree",
     "as_torus_cell",
@@ -575,37 +576,67 @@ def fold_tree(root, visit: Callable, children: Callable = lambda x: x.children()
     so rule lists come out the same, and depth is bounded by memory
     only.
     """
-    values: list = []
-    stack: list = [(root, None)]
+    # pre-order with the children pushed in order, so the last child
+    # comes first; read backwards, that is the recursive post-order
+    order: list = []
+    stack: list = [root]
     while stack:
-        node, kids = stack.pop()
-        if kids is None:
-            kids = children(node)
-            if kids:
-                stack.append((node, kids))
-                stack.extend((kid, None) for kid in reversed(kids))
-                continue
-        split = len(values) - len(kids)
+        node = stack.pop()
+        kids = children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    values: list = []
+    for node, count in reversed(order):
+        split = len(values) - count
         args = values[split:]
         del values[split:]
         values.append(visit(node, args))
     return values[0]
 
 
-def _level_with_rules(x: SchemeExpr, which: str) -> tuple[int, tuple[RuleApplication, ...]]:
-    rules: list[RuleApplication] = []
+def _levels_with_rules(x: SchemeExpr, *tables: str) -> tuple:
+    """Level and rule list of x for each NodeKind rule table named
+    ("j_rule", "range_rule"): level, rules, level, rules, ... in the
+    order of tables.
 
-    def visit(node: SchemeExpr, kids: list) -> tuple[int, str]:
+    One fold lists the nodes in post-order with their kinds and labels,
+    so each label is built once and the records of one node share it;
+    each table then replays that list with a stack of levels.
+    """
+    nodes: list = []
+
+    def visit(node: SchemeExpr, kids: list) -> str:
         kind = kind_of(node)
-        rule, level_of = getattr(kind, which)
-        inputs = tuple(level for level, _ in kids)
-        label = kind.label(node, [lbl for _, lbl in kids])
-        level = level_of(node, inputs)
-        rules.append(RuleApplication(label, rule, inputs, level))
-        return level, label
+        label = kind.label(node, kids)
+        nodes.append((node, kind, label, len(kids)))
+        return label
 
-    level, _ = fold_tree(x, visit)
-    return level, tuple(rules)
+    fold_tree(x, visit)
+    out: list = []
+    for table in tables:
+        levels: list[int] = []
+        rules: list[RuleApplication] = []
+        for node, kind, label, count in nodes:
+            rule, level_of = getattr(kind, table)
+            split = len(levels) - count
+            inputs = tuple(levels[split:])
+            del levels[split:]
+            level = level_of(node, inputs)
+            rules.append(RuleApplication(label, rule, inputs, level))
+            levels.append(level)
+        out += (levels[0], tuple(rules))
+    return tuple(out)
+
+
+def levels_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...],
+                                              int, tuple[RuleApplication, ...]]:
+    """(j_level, j_rules, range_level, range_rules) from one fold.
+
+    The same levels and records as j_linear_level_with_rules and
+    range_level_with_rules; the two records of each node share one
+    label string.
+    """
+    return _levels_with_rules(x, "j_rule", "range_rule")
 
 
 def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -616,7 +647,7 @@ def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication
     stratification with k strata costs one splitting plus k - 1 further
     closed decompositions over its worst stratum.
     """
-    return _level_with_rules(x, "j_rule")
+    return _levels_with_rules(x, "j_rule")
 
 
 def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -629,7 +660,7 @@ def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, .
     add; a torus factor costs one per Gm while projective cells are
     free.
     """
-    return _level_with_rules(x, "range_rule")
+    return _levels_with_rules(x, "range_rule")
 
 
 def split_order(order: ClosureOrder) -> tuple[int, ...]:

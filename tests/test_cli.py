@@ -442,19 +442,19 @@ class TestParserReuse:
 
 
 class TestOnePassPerQuery:
-    """Each query prints each of its trees once, folds the stratify glue
-    tree once per level, and takes the root label from the fold."""
+    """Each query prints each of its trees once and folds each tree once:
+    linlevel and the stratify glue tree take both levels from one
+    levels_with_rules fold, range and rccm take one range fold, and the
+    root label comes from the fold."""
 
     CASES = [
-        (["linlevel", "open(A^2, A^0) * Gm"],
-         {"pretty": 1, "j_fold": 1, "range_fold": 1}),
+        (["linlevel", "open(A^2, A^0) * Gm"], {"pretty": 1, "both_fold": 1}),
         (["range", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
         (["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
         (["cohomology", "Gm^2", "--j", "0"], {"pretty": 1, "describe_at": 1}),
         (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"], {"pretty": 1}),
         # the stratification and its glue tree are two printed trees
-        (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
-         {"pretty": 2, "j_fold": 1, "range_fold": 1}),
+        (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"], {"pretty": 2, "both_fold": 1}),
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -474,10 +474,10 @@ class TestOnePassPerQuery:
         # where it was imported by name
         count(grammar, "pretty", "pretty")
         count(cli, "pretty", "pretty")
+        count(schemes, "levels_with_rules", "both_fold")
+        count(cli, "levels_with_rules", "both_fold")
         count(schemes, "j_linear_level_with_rules", "j_fold")
         count(schemes, "range_level_with_rules", "range_fold")
-        count(cli, "j_linear_level_with_rules", "j_fold")
-        count(cli, "range_level_with_rules", "range_fold")
         count(ranges, "range_level_with_rules", "range_fold")
         count(schemes.SchemeExpr, "label", "label")
         count(shifted.ShiftedIdealSum, "describe_at", "describe_at")
