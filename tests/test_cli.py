@@ -9,10 +9,10 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import cli_env
+from helpers import cli_env, parser_trees
 from wittlinear import cli, grammar, ranges, schemes, shifted
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -414,6 +414,28 @@ class TestJsonWriter:
             cli._to_json(rows)
 
 
+    def test_a_string_shared_between_rows_is_written_each_time(self):
+        # one str object in rows of two lists and at top level, plus an
+        # equal copy that is a different object
+        shared = ('a "quoted" \\ path\x00\x1f\x7f, \u00e9\u2028\U0001f600 ' * 200)
+        copy = "".join(list(shared))
+        assert copy == shared and copy is not shared
+        value = {
+            "first": [{"node": shared, "rule": "r"}, {"node": copy, "rule": "r"}],
+            "second": [{"node": shared, "rule": "s"}, {"node": shared, "rule": "r"}],
+            "top": shared,
+            "rows": [{"node": copy, "rule": shared}],
+        }
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        assert cli._to_json(value) == expected
+        # no state is kept from one call to the next, so a string that
+        # takes a freed string's place is written as itself
+        assert cli._to_json(value) == expected
+        for k in range(6):
+            rows = [{"node": "%d %s" % (k, shared)}, {"node": shared}]
+            assert cli._to_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["linlevel", "A^1 * Gm"],
@@ -484,6 +506,57 @@ class TestOnePassPerQuery:
         assert cli.main(argv + ["--format", fmt]) == 0
         capsys.readouterr()
         assert calls == Counter(expected)
+
+
+class TestAgainstTheLibrary:
+    """The linlevel and range payloads hold what the library folds give
+    for the same tree."""
+
+    @staticmethod
+    def payload(capsys, argv):
+        assert cli.main(argv + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parser_trees)
+    def test_linlevel_payload(self, capsys, t):
+        got = self.payload(capsys, ["linlevel", grammar.pretty(t)])
+        jl, j_rules = schemes.j_linear_level_with_rules(t)
+        rl, r_rules = schemes.range_level_with_rules(t)
+        assert (got["j_linear_level"], got["range_level"], got["dim"]) == (jl, rl, t.dim)
+        assert got["provenance"] == {"j_linear": cli._rules(j_rules),
+                                     "range": cli._rules(r_rules)}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parser_trees)
+    def test_range_payload(self, capsys, t):
+        expr = grammar.pretty(t)
+        got = self.payload(capsys, ["range", expr, "--smooth", "--i", "0"])
+        verdict = ranges.sheaf_range(t.assume_smooth())
+        iso_from = verdict.iso_from(0)
+        inj_at = verdict.level - 1
+        if verdict.is_iso(0, inj_at):
+            inj_at = None
+        result = "ISO for j >= %d" % iso_from
+        if inj_at is not None:
+            result += "; INJECTIVE at j = %d" % inj_at
+        assert got == {
+            "command": "range",
+            "expr": expr,
+            "assumptions": ["base field R", "smooth (asserted)"],
+            "degree_i": 0,
+            "dim": verdict.dim,
+            "range_level": verdict.level,
+            "iso_for_j_at_least": iso_from,
+            "injective_at_j": inj_at,
+            "dimension_cap_j": verdict.dim + 1,
+            "not_surjective": sorted([i, j] for i, j in verdict.not_surjective if i == 0),
+            "provenance": cli._rules(verdict.provenance),
+            "result": result,
+            "schema_version": schemes.SCHEMA_VERSION,
+        }
 
 
 class TestReimport:

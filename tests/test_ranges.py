@@ -1,6 +1,7 @@
 """Range verdicts, certificate transfer, comparison-map report, splitting."""
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from wittlinear import (
     Empty,
     OpenGlue,
     Product,
+    ProjTimesTorus,
     RccmCase,
     SmoothnessRequiredError,
     Stratified,
@@ -240,6 +242,60 @@ class TestTLinearShape:
     def test_degrees_above_top_are_iso(self):
         assert t_linear_verdict(GM_TREE, 5, 0) is TLinearAnswer.ISO
         assert t_linear_verdict(GM_TREE, -1, 0) is TLinearAnswer.ISO
+
+
+def open_chain(bottom, depth: int):
+    """open(A^k, open(A^(k-1), ... bottom)), depth open steps over bottom."""
+    z = bottom
+    for _ in range(depth):
+        z = OpenGlue(Affine(0 if z.is_empty else z.dim + 1), z)
+    return z
+
+
+def parity_oracle(z, a, b):
+    return Vanishing.ZERO if (a + b) % 2 else Vanishing.NONZERO
+
+
+class TestTLinearDeepChains:
+    """The splitting analysis descends an open chain one step per level
+    above the diagonal, so it answers at any depth."""
+
+    def test_depth_2000_chain_answers(self):
+        x = open_chain(Affine(0), 2000)
+        # 1999 steps down to open(A^1, A^0) on its diagonal, where the
+        # removed point does not vanish; and 2000 steps down to A^0
+        assert t_linear_verdict(x, 2000, -1) is TLinearAnswer.NOT_ISO
+        assert t_linear_verdict(open_chain(Affine(0), 2), 2, -1) is TLinearAnswer.NOT_ISO
+        assert t_linear_verdict(x, 2000, 0) is TLinearAnswer.ISO
+        assert t_linear_verdict_sheaf(x, 0, 2000) is TLinearAnswer.ISO
+
+    # sha256 (first 16 hex digits) of the answers' initials over depths
+    # 1..50 and (i, j) with -1 <= i <= depth + 2 and |i + j| <= 2, as
+    # the recursive analysis gave them
+    RECORDED = {
+        ("empty", False): "27e8e8e53593990f",
+        ("empty", True): "f39959ba5fc08abc",
+        ("point", False): "6d53c6bf6d7e3428",
+        ("point", True): "cf8319d94bcfaa54",
+        ("torus", False): "ef23a4ab8dd85d4c",
+        ("torus", True): "ae3fcd9f92c4ff91",
+        ("proj", False): "e4ea48468e5f5918",
+        ("proj", True): "a97d5a0e079cbebd",
+    }
+    BOTTOMS = {"empty": Empty(), "point": Affine(0), "torus": TorusCell(0, 2),
+               "proj": ProjTimesTorus(1, 1)}
+
+    @pytest.mark.parametrize("bottom,with_oracle", sorted(RECORDED))
+    def test_shallow_chains_keep_their_answers(self, bottom, with_oracle):
+        oracle = parity_oracle if with_oracle else None
+        rows = []
+        for depth in range(1, 51):
+            x = open_chain(self.BOTTOMS[bottom], depth)
+            rows.append("".join(
+                t_linear_verdict(x, i, j, oracle).value[0]
+                for i in range(-1, depth + 3) for j in range(-i - 2, -i + 3)))
+        digest = hashlib.sha256("|".join(rows).encode()).hexdigest()[:16]
+        assert digest == self.RECORDED[bottom, with_oracle]
 
 
 class TestVanishingOracle:

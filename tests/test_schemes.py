@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combinatorics_reference as ref
-from helpers import random_tree, replay_provenance, surgery_sites
+from helpers import TREE_BRANCHES, parser_trees, random_tree, replay_provenance, surgery_sites
 from wittlinear import (
     Affine,
     ClosedGlue,
@@ -30,6 +30,7 @@ from wittlinear import (
     VennStratum,
     as_torus_cell,
     j_linear_level_with_rules,
+    levels_with_rules,
     range_level_with_rules,
     scheme_from_json,
     scheme_to_json,
@@ -656,6 +657,54 @@ class TestDeepTrees:
         assert tree.dim == 1
         assert tree.smooth
         assert as_torus_cell(tree) is None
+
+
+class TestCombinedFold:
+    """levels_with_rules against the two single-table folds, and the
+    relations between the two levels that the rule table implies."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(parser_trees)
+    def test_equals_the_single_folds_and_shares_labels(self, t):
+        jl, j_rules, rl, r_rules = levels_with_rules(t)
+        assert (jl, j_rules) == j_linear_level_with_rules(t)
+        assert (rl, r_rules) == range_level_with_rules(t)
+        assert len(j_rules) == len(r_rules)
+        assert all(j.node is r.node for j, r in zip(j_rules, r_rules))
+
+    @settings(max_examples=150, deadline=None)
+    @given(parser_trees)
+    def test_range_level_is_at_most_the_j_linear_level(self, t):
+        # rule by rule: every range rule is at most its j rule on inputs
+        # that are at most the j inputs
+        jl, _, rl, _ = levels_with_rules(t)
+        assert rl <= jl
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 6))
+    def test_torus_cells_agree_with_their_glue_trees(self, n, d):
+        glue = levels_with_rules(torus_cell_as_glue_tree(n, d))
+        for cell in (TorusCell(n, d), parse_expr("A^%d * Gm^%d" % (n, d))):
+            levels = levels_with_rules(cell)
+            assert (levels[0], levels[2]) == (glue[0], glue[2]) == (d, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(TREE_BRANCHES["stratified"](parser_trees))
+    def test_glue_tree_keeps_the_range_level_and_lowers_the_j_level(self, t):
+        jl, _, rl, _ = levels_with_rules(t)
+        glue_jl, _, glue_rl, _ = levels_with_rules(t.to_glue_tree())
+        assert glue_rl == rl
+        assert glue_jl < jl
+
+    @pytest.mark.parametrize("expr,levels,glue_levels", [
+        ("strat(A^1; )", (1, 0), (0, 0)),
+        ("strat(A^0, A^1, Gm; 0<1, 0<2)", (4, 1), (3, 1)),
+    ])
+    def test_glue_tree_levels_by_example(self, expr, levels, glue_levels):
+        t = parse_expr(expr)
+        assert (t.j_linear_level(), t.range_level()) == levels
+        glue = t.to_glue_tree()
+        assert (glue.j_linear_level(), glue.range_level()) == glue_levels
 
 
 class TestNodeKinds:
