@@ -47,7 +47,6 @@ from .schemes import (
     venn_stratification,
     SCHEMA_VERSION,
 )
-from .shifted import StepKind
 from .witt import FINITE_FIELD, REAL, InvalidFormError
 
 __all__ = ["main"]
@@ -64,6 +63,12 @@ _FIELDS = {"R": REAL, "Fq": FINITE_FIELD}
 # JSON); above this total they refuse.  venn lists all 2^n - 1 candidate
 # strata and refuses above the same count.
 MAX_EXPANDED_MULTIPLICITY = 1 << 20
+
+# Both also print 2-powers, at most 2^(j - lowest shift) for cohomology
+# --j and 2^(highest shift - j0) for cokernel.  Python converts ints of
+# up to 4300 digits to text by default, and 2^14284 is the largest
+# 2-power within that; above it they refuse before building any.
+MAX_PRINTED_EXPONENT = 14284
 
 
 def _parse(text: str):
@@ -204,15 +209,6 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        payload["schema_version"] = SCHEMA_VERSION
-        print(_to_json(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _rules(provenance) -> list[dict]:
     return [
         {"node": r.node, "rule": r.rule, "inputs": list(r.inputs), "level": r.level}
@@ -220,43 +216,57 @@ def _rules(provenance) -> list[dict]:
     ]
 
 
-def _smooth_note(args) -> str:
-    return "smooth (asserted)" if args.smooth else "smooth (derived)"
+def _rule_names(provenance) -> str:
+    return ", ".join(r.rule for r in provenance)
 
 
-def cmd_linlevel(args) -> None:
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def cmd_linlevel(args) -> tuple[dict, list[str]]:
     tree = _parse(args.expr)
     expr = pretty(tree)
     jl, j_rules, rl, r_rules = levels_with_rules(tree)
     payload = {
-        "command": "linlevel",
         "expr": expr,
         "dim": tree.dim,
         "j_linear_level": jl,
         "range_level": rl,
         "provenance": {"j_linear": _rules(j_rules), "range": _rules(r_rules)},
     }
-    text = [
+    return payload, [
         "scheme: %s" % expr,
         "dim: %d" % tree.dim,
-        "j-linear level: %d  [%s]" % (jl, ", ".join(r.rule for r in j_rules)),
-        "range level: %d  [%s]" % (rl, ", ".join(r.rule for r in r_rules)),
+        "j-linear level: %d  [%s]" % (jl, _rule_names(j_rules)),
+        "range level: %d  [%s]" % (rl, _rule_names(r_rules)),
     ]
-    _emit(args, payload, text)
 
 
-def _prepare_smooth(args):
+def _range_query(args, report):
+    """What range and rccm share, as (verdict, payload, text): the
+    verdict is report(tree, field) on the parsed scheme."""
     tree = _parse(args.expr)
     if args.smooth:
         tree = tree.assume_smooth()
-    return tree
-
-
-def cmd_range(args) -> None:
-    tree = _prepare_smooth(args)
     field = _FIELDS[args.field]
-    verdict = sheaf_range(tree, field)
+    verdict = report(tree, field)
     expr = pretty(tree)
+    smooth = "smooth (asserted)" if args.smooth else "smooth (derived)"
+    payload = {
+        "expr": expr,
+        "assumptions": ["base field %s" % field.name, smooth],
+        "degree_i": args.i,
+        "dim": verdict.dim,
+        "range_level": verdict.level,
+        "provenance": _rules(verdict.provenance),
+    }
+    return verdict, payload, ["scheme: %s (dim %d, %s)" % (expr, verdict.dim, smooth)]
+
+
+def cmd_range(args) -> tuple[dict, list[str]]:
+    verdict, payload, text = _range_query(args, sheaf_range)
     i = args.i
     iso_from = verdict.iso_from(i)
     inj_at = i + verdict.level - 1
@@ -265,103 +275,93 @@ def cmd_range(args) -> None:
     result = "ISO for j >= %d" % iso_from
     if inj_at is not None:
         result += "; INJECTIVE at j = %d" % inj_at
-    payload = {
-        "command": "range",
-        "expr": expr,
-        "assumptions": ["base field %s" % field.name, _smooth_note(args)],
-        "degree_i": i,
-        "dim": verdict.dim,
-        "range_level": verdict.level,
+    payload.update({
         "iso_for_j_at_least": iso_from,
         "injective_at_j": inj_at,
         "dimension_cap_j": verdict.dim + 1,
         "not_surjective": sorted(list(p) for p in verdict.not_surjective
                                  if p[0] == i),
-        "provenance": _rules(verdict.provenance),
         "result": result,
-    }
-    text = [
-        "scheme: %s (dim %d, %s)" % (expr, verdict.dim, _smooth_note(args)),
-        "range level: %d  [%s]" % (
-            verdict.level, ", ".join(r.rule for r in verdict.provenance)),
+    })
+    return payload, text + [
+        "range level: %d  [%s]" % (verdict.level, _rule_names(verdict.provenance)),
         result,
     ]
-    _emit(args, payload, text)
 
 
-def _cell_cohomology(tree):
-    """(degree, sum, model) for trees with explicit cohomology."""
+def _cell_query(args):
+    """What cohomology and cokernel share, as (degree, sum, shift list,
+    payload, text); the cohomology sum of a cell is never empty."""
+    tree = _parse(args.expr)
     cell = as_torus_cell(tree)
     if cell is not None:
-        return 0, h0_torus_cells(*cell), "torus-cell"
-    if isinstance(tree, ProjTimesTorus):
-        return tree.c, hc_proj_times_torus(tree.c, tree.e, tree.twist), "proj-times-torus"
-    raise UnsupportedQueryError(
-        "explicit cohomology is computed only for torus cells and "
-        "projective-times-torus leaves"
-    )
+        degree, total, model = 0, h0_torus_cells(*cell), "torus-cell"
+    elif isinstance(tree, ProjTimesTorus):
+        degree, model = tree.c, "proj-times-torus"
+        total = hc_proj_times_torus(tree.c, tree.e, tree.twist)
+    else:
+        raise UnsupportedQueryError(
+            "explicit cohomology is computed only for torus cells and "
+            "projective-times-torus leaves"
+        )
+    expr = pretty(tree)
+    payload = {
+        "expr": expr,
+        "model": model,
+        "summands": [list(p) for p in total.summands],
+    }
+    shifts = " ".join("%d^%d" % (s, m) if m > 1 else "%d" % s for s, m in total.summands)
+    return degree, total, shifts, payload, ["scheme: %s" % expr]
 
 
-def _check_expansion(expr: str, total) -> None:
+def _check_expansion(expr: str, total, exponent: int) -> None:
     if total.total_multiplicity > MAX_EXPANDED_MULTIPLICITY:
         raise UnsupportedQueryError(
             "%s has total multiplicity %d; cokernel and cohomology --j "
             "expand at most %d" % (expr, total.total_multiplicity,
                                    MAX_EXPANDED_MULTIPLICITY)
         )
+    if exponent > MAX_PRINTED_EXPONENT:
+        raise UnsupportedQueryError(
+            "%s at these levels needs 2^%d; cokernel and cohomology --j "
+            "print 2-powers up to 2^%d" % (expr, exponent, MAX_PRINTED_EXPONENT)
+        )
 
 
-def cmd_cohomology(args) -> None:
-    tree = _parse(args.expr)
-    degree, total, model = _cell_cohomology(tree)
-    expr = pretty(tree)
-    payload = {
-        "command": "cohomology",
-        "expr": expr,
-        "model": model,
-        "degree": degree,
-        "summands": [list(p) for p in total.summands],
-        "rank": total.total_multiplicity,
-    }
-    text = [
-        "scheme: %s" % expr,
-        "cohomology in degree %d: shifts %s (rank %d)" % (
-            degree,
-            " ".join("%d^%d" % (s, m) if m > 1 else "%d" % s
-                     for s, m in total.summands),
-            total.total_multiplicity,
-        ),
-    ]
-    if args.j is not None:
-        _check_expansion(expr, total)
-        verdict = total.step_verdict(args.j)
-        group = total.describe_at(args.j)
+def cmd_cohomology(args) -> tuple[dict, list[str]]:
+    degree, total, shifts, payload, text = _cell_query(args)
+    payload.update({"degree": degree, "rank": total.total_multiplicity})
+    text.append("cohomology in degree %d: shifts %s (rank %d)" % (
+        degree, shifts, total.total_multiplicity))
+    j = args.j
+    if j is not None:
+        _check_expansion(payload["expr"], total, j - total.summands[0][0])
+        verdict = total.step_verdict(j)
+        group = total.describe_at(j)
         payload["at_j"] = {
-            "j": args.j,
+            "j": j,
             "group": group,
             "step": verdict.kind.value,
             "step_cokernel": str(verdict.cokernel),
         }
-        text.append("at level j = %d: %s" % (args.j, group))
-        if verdict.kind is StepKind.ISO:
-            text.append("step to level %d: ISO" % (args.j + 1))
-        else:
-            text.append("step to level %d: INJECTIVE_NOT_SURJECTIVE, cokernel %s"
-                        % (args.j + 1, verdict.cokernel))
-    _emit(args, payload, text)
+        step = "step to level %d: %s" % (j + 1, verdict.kind.value)
+        if not verdict.is_iso:
+            step += ", cokernel %s" % verdict.cokernel
+        text += ["at level j = %d: %s" % (j, group), step]
+    return payload, text
 
 
-def cmd_rccm(args) -> None:
-    tree = _prepare_smooth(args)
-    field = _FIELDS[args.field]
-    verdict = rccm_report(tree, args.i, field)
-    expr = pretty(tree)
+def cmd_rccm(args) -> tuple[dict, list[str]]:
     i = args.i
-    j_lo = i - 2
-    j_hi = max(verdict.iso_from(), i) + 1
+    verdict, payload, text = _range_query(
+        args, lambda tree, field: rccm_report(tree, i, field))
+    payload["assumptions"].append("valid for every line-bundle twist")
+    text += [
+        "comparison map in degree %d (any line-bundle twist):" % i,
+        "ISO for j >= %d" % verdict.iso_from(),
+    ]
     entries = []
-    text_entries = []
-    for j in range(j_lo, j_hi + 1):
+    for j in range(i - 2, max(verdict.iso_from(), i) + 2):
         e = verdict.classify(j)
         entry = {"j": j, "case": e.case.value}
         line = "j = %d: %s" % (j, e.case.value)
@@ -373,50 +373,28 @@ def cmd_rccm(args) -> None:
             line += "  image equals 2^%d * (grade-%d image)" % (
                 e.image_equals_power, i)
         entries.append(entry)
-        text_entries.append(line)
-    payload = {
-        "command": "rccm",
-        "expr": expr,
-        "assumptions": ["base field %s" % field.name, _smooth_note(args),
-                        "valid for every line-bundle twist"],
-        "degree_i": i,
-        "dim": verdict.dim,
-        "range_level": verdict.level,
-        "iso_for_j_at_least": verdict.iso_from(),
-        "entries": entries,
-        "provenance": _rules(verdict.provenance),
-    }
-    text = [
-        "scheme: %s (dim %d, %s)" % (expr, verdict.dim, _smooth_note(args)),
-        "comparison map in degree %d (any line-bundle twist):" % i,
-        "ISO for j >= %d" % verdict.iso_from(),
-    ] + text_entries
-    _emit(args, payload, text)
+        text.append(line)
+    payload.update({"iso_for_j_at_least": verdict.iso_from(), "entries": entries})
+    return payload, text
 
 
-def cmd_cokernel(args) -> None:
-    tree = _parse(args.expr)
-    degree, total, model = _cell_cohomology(tree)
-    expr = pretty(tree)
+def cmd_cokernel(args) -> tuple[dict, list[str]]:
+    degree, total, shifts, payload, text = _cell_query(args)
+    expr = payload["expr"]
     if args.i != degree:
         raise UnsupportedQueryError(
             "cohomology of %s is computed in degree %d only, got --i %d"
             % (expr, degree, args.i)
         )
-    _check_expansion(expr, total)
     j0 = args.j0
-    max_shift = total.max_shift if total.max_shift is not None else j0
-    j1 = args.j1 if args.j1 is not None else max(max_shift, j0)
+    _check_expansion(expr, total, total.max_shift - j0)
+    j1 = args.j1 if args.j1 is not None else max(total.max_shift, j0)
     coker = total.composite_cokernel(j0, j1)
     stable_exponent = total.cokernel_exponent(j0)
-    payload = {
-        "command": "cokernel",
-        "expr": expr,
-        "model": model,
+    payload.update({
         "degree_i": degree,
         "j0": j0,
         "j1": j1,
-        "summands": [list(p) for p in total.summands],
         "cokernel": {
             "free_rank": coker.free_rank,
             "torsion_orders": list(coker.torsion_orders),
@@ -424,20 +402,16 @@ def cmd_cokernel(args) -> None:
         "cokernel_str": str(coker),
         "exponent": coker.exponent,
         "stable_exponent": stable_exponent,
-    }
-    text = [
-        "scheme: %s" % expr,
-        "degree-%d cohomology shifts: %s" % (
-            degree, " ".join("%d^%d" % (s, m) if m > 1 else "%d" % s
-                             for s, m in total.summands)),
+    })
+    return payload, text + [
+        "degree-%d cohomology shifts: %s" % (degree, shifts),
         "cokernel of the composite from level %d to level %d: %s" % (j0, j1, coker),
         "exponent: %d" % coker.exponent,
         "stable exponent from level %d: %d" % (j0, stable_exponent),
     ]
-    _emit(args, payload, text)
 
 
-def cmd_stratify(args) -> None:
+def cmd_stratify(args) -> tuple[dict, list[str]]:
     if (args.expr is None) == (args.file is None):
         raise UnsupportedQueryError("provide exactly one of EXPR or --file")
     if args.expr is not None:
@@ -449,45 +423,35 @@ def cmd_stratify(args) -> None:
         expr, glue_expr = pretty(tree), pretty(glue)
         jl, _, rl, _ = levels_with_rules(glue)
         payload = {
-            "command": "stratify",
             "expr": expr,
-            "split_order": list(order),
             "glue_tree": glue_expr,
             "j_linear_level": jl,
             "range_level": rl,
         }
-        text = [
-            "stratification: %s" % expr,
-            "split order: %s" % " ".join(str(i) for i in order),
+        head = "stratification: %s" % expr
+        tail = [
             "glue tree: %s" % glue_expr,
             "j-linear level: %d" % jl,
             "range level: %d" % rl,
         ]
     else:
-        with open(args.file) as fh:
-            data = json.load(fh)
-        realization = FinitePosetRealization.from_json(data)
+        realization = FinitePosetRealization.from_json(_read_json(args.file))
         order = realization.replay_split()
         payload = {
-            "command": "stratify",
             "file": args.file,
             "pieces": [sorted(str(p) for p in piece)
                        for piece in realization.pieces],
-            "split_order": list(order),
             "replay_check": "PASS",
         }
-        text = [
-            "realization: %d pieces over %d points" % (
-                realization.size, len(realization.ground)),
-            "split order: %s" % " ".join(str(i) for i in order),
-            "replay check: PASS",
-        ]
-    _emit(args, payload, text)
+        head = "realization: %d pieces over %d points" % (
+            realization.size, len(realization.ground))
+        tail = ["replay check: PASS"]
+    payload["split_order"] = list(order)
+    return payload, [head, "split order: %s" % " ".join(str(i) for i in order), *tail]
 
 
-def cmd_venn(args) -> None:
-    with open(args.file) as fh:
-        data = json.load(fh)
+def cmd_venn(args) -> tuple[dict, list[str]]:
+    data = _read_json(args.file)
     if not isinstance(data, dict):
         raise ValueError("%s does not hold a JSON object" % args.file)
     if data.get("schema_version") != SCHEMA_VERSION:
@@ -503,34 +467,32 @@ def cmd_venn(args) -> None:
             % (args.n, args.n, MAX_EXPANDED_MULTIPLICITY)
         )
     report = venn_stratification(sets, ground)
+    partition = "PASS" if report.partition_ok else "FAIL"
+    boundary = "PASS" if report.boundary_ok else "FAIL"
     strata_payload = []
-    text_strata = []
+    text = ["venn decomposition of %d sets:" % args.n]
     for s in report.strata:
         names = sorted(i + 1 for i in s.members)
         points = sorted(str(p) for p in s.points)
         strata_payload.append({"sets": names, "points": points})
         if points:
-            text_strata.append("  {%s}: %s" % (
+            text.append("  {%s}: %s" % (
                 ",".join("A%d" % i for i in names), " ".join(points)))
     payload = {
-        "command": "venn",
         "n": args.n,
         "strata": strata_payload,
         "nonempty_strata": len(report.nonempty),
         "candidate_strata": len(report.strata),
-        "partition_check": "PASS" if report.partition_ok else "FAIL",
-        "boundary_check": "PASS" if report.boundary_ok else "FAIL",
+        "partition_check": partition,
+        "boundary_check": boundary,
         "irreducibility": "declared",
     }
-    text = [
-        "venn decomposition of %d sets:" % args.n,
-        *text_strata,
+    return payload, text + [
         "nonempty strata: %d of %d candidates" % (
             len(report.nonempty), len(report.strata)),
-        "partition check: PASS" if report.partition_ok else "partition check: FAIL",
-        "boundary check: PASS" if report.boundary_ok else "boundary check: FAIL",
+        "partition check: %s" % partition,
+        "boundary check: %s" % boundary,
     ]
-    _emit(args, payload, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -541,60 +503,48 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    # every subcommand takes one positional argument, an expression by default
+    def command(name, func, summary, positional="expr", **kwargs):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(positional, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("linlevel", help="construction levels of a scheme expression")
-    p.add_argument("expr")
-    add_format(p)
-    p.set_defaults(func=cmd_linlevel)
+    def add_range_options(p):
+        p.add_argument("--i", type=int, required=True, help="cohomological degree")
+        p.add_argument("--smooth", action="store_true",
+                       help="assert the scheme is smooth")
+        p.add_argument("--field", choices=sorted(_FIELDS), default="R")
 
-    p = sub.add_parser("range", help="bijectivity range of the graded step")
-    p.add_argument("expr")
-    p.add_argument("--i", type=int, required=True, help="cohomological degree")
-    p.add_argument("--smooth", action="store_true",
-                   help="assert the scheme is smooth")
-    p.add_argument("--field", choices=sorted(_FIELDS), default="R")
-    add_format(p)
-    p.set_defaults(func=cmd_range)
+    command("linlevel", cmd_linlevel, "construction levels of a scheme expression")
 
-    p = sub.add_parser("cohomology", help="explicit cell cohomology as shifted sums")
-    p.add_argument("expr")
+    p = command("range", cmd_range, "bijectivity range of the graded step")
+    add_range_options(p)
+
+    p = command("cohomology", cmd_cohomology, "explicit cell cohomology as shifted sums")
     p.add_argument("--j", type=int, default=None, help="evaluate at this level")
-    add_format(p)
-    p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("rccm", help="comparison map to singular cohomology")
-    p.add_argument("expr")
-    p.add_argument("--i", type=int, required=True, help="cohomological degree")
-    p.add_argument("--smooth", action="store_true",
-                   help="assert the scheme is smooth")
-    p.add_argument("--field", choices=sorted(_FIELDS), default="R")
-    add_format(p)
-    p.set_defaults(func=cmd_rccm)
+    p = command("rccm", cmd_rccm, "comparison map to singular cohomology")
+    add_range_options(p)
 
-    p = sub.add_parser("cokernel", help="cokernel of iterated steps on cell cohomology")
-    p.add_argument("expr")
+    p = command("cokernel", cmd_cokernel, "cokernel of iterated steps on cell cohomology")
     p.add_argument("--i", type=int, required=True, help="cohomological degree")
     p.add_argument("--j0", type=int, required=True, help="source level")
     p.add_argument("--j1", type=int, default=None,
                    help="target level (default: stable)")
-    add_format(p)
-    p.set_defaults(func=cmd_cokernel)
 
-    p = sub.add_parser("stratify", help="rewrite a stratification as a glue tree")
-    p.add_argument("expr", nargs="?", default=None)
+    p = command("stratify", cmd_stratify, "rewrite a stratification as a glue tree",
+                nargs="?", default=None)
     p.add_argument("--file", default=None,
                    help="JSON realization to replay instead of an expression")
-    add_format(p)
-    p.set_defaults(func=cmd_stratify)
 
-    p = sub.add_parser("venn", help="intersection strata of a union of sets")
-    p.add_argument("n", type=int, help="number of sets")
+    p = command("venn", cmd_venn, "intersection strata of a union of sets",
+                "n", type=int, help="number of sets")
     p.add_argument("--file", required=True, help="JSON file with ground and sets")
-    add_format(p)
-    p.set_defaults(func=cmd_venn)
 
+    # every subcommand takes --format, listed last in its help
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -609,20 +559,22 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
     try:
-        args.func(args)
+        payload, text = args.func(args)
+        if args.format == "json":
+            payload.update({"command": args.cmd, "schema_version": SCHEMA_VERSION})
+            text = [_to_json(payload)]
+        for line in text:
+            print(line)
     except (UnsupportedDifferentialError, UnsupportedQueryError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 4
+        error, code = e, 4
     except (CapabilityError, SmoothnessRequiredError, TShapeRequiredError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
+        error, code = e, 3
     except InternalConsistencyError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 5
-    except (ParseError, SchemeError, InvalidFormError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    return 0
+        error, code = e, 5
+    except (ParseError, SchemeError, InvalidFormError,
+            ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+        error, code = e, 2
+    else:
+        return 0
+    print("error: %s" % error, file=sys.stderr)
+    return code

@@ -298,6 +298,64 @@ class TestSizeGuard:
         assert "nonempty strata: 3 of 7 candidates" in capsys.readouterr().out
 
 
+class TestExponentGuard:
+    """cokernel and cohomology --j refuse 2-powers too large to print
+    before they build any.
+
+    The bound is lowered to 5 and the 2-power builders are made to
+    fail, so a refused query is seen to compute none of them.
+    """
+
+    @pytest.fixture
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PRINTED_EXPONENT", 5)
+
+    @pytest.fixture
+    def no_two_powers(self, monkeypatch):
+        for name in ("composite_cokernel", "cokernel_exponent", "describe_at"):
+            monkeypatch.setattr(shifted.ShiftedIdealSum, name,
+                                lambda *args: pytest.fail("2-power built"))
+
+    @pytest.mark.parametrize("argv,exponent", [
+        # Gm^3 has shifts 0..3, so the stable exponent from j0 is 2^(3 - j0)
+        (["cokernel", "Gm^3", "--i", "0", "--j0", "-3"], 6),
+        # a near target level does not lower the stable exponent
+        (["cokernel", "Gm^3", "--i", "0", "--j0", "-3", "--j1", "-2"], 6),
+        # Gm's lowest shift is 0, so level j holds 2^j Z
+        (["cohomology", "Gm", "--j", "6"], 6),
+        (["cohomology", "P^2 @O(3) * Gm", "--j", "8"], 6),
+    ], ids=["cokernel", "cokernel-with-target", "cohomology", "cohomology-proj"])
+    def test_above_the_bound_exits_4(self, small_bound, no_two_powers, capsys, argv,
+                                     exponent):
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: %s at these levels needs 2^%d; cokernel and cohomology "
+                       "--j print 2-powers up to 2^5\n" % (argv[1], exponent))
+
+    def test_at_the_bound_answers(self, small_bound, capsys):
+        assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "-2"]) == 0
+        assert "stable exponent from level -2: 32" in capsys.readouterr().out
+        assert cli.main(["cohomology", "Gm", "--j", "5"]) == 0
+        assert "at level j = 5: 32Z (+) 16Z" in capsys.readouterr().out
+
+    def test_the_bound_is_the_default_digit_limit(self):
+        assert len(str(2 ** cli.MAX_PRINTED_EXPONENT)) == 4300
+        with pytest.raises(ValueError):
+            str(2 ** (cli.MAX_PRINTED_EXPONENT + 1))
+
+    def test_far_levels_exit_4_and_near_ones_answer(self, no_two_powers, capsys):
+        # these exited 2 with the interpreter's digit-limit message
+        assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "-20000"]) == 4
+        assert cli.main(["cohomology", "Gm", "--j", "20000"]) == 4
+        assert capsys.readouterr().err.count("print 2-powers up to 2^14284") == 2
+
+    def test_the_largest_answered_levels(self, capsys):
+        # 2^14003 and 2^14284 have 4216 and 4300 digits
+        assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "-14000"]) == 0
+        assert cli.main(["cohomology", "Gm", "--j", "14284", "--format", "json"]) == 0
+
+
 # JSON input files of the wrong shape, as (command, file text)
 MALFORMED_FILES = [
     pytest.param("venn", '{"schema_version": 1, "sets": [[["x"]]]}', id="venn-nested-point"),
