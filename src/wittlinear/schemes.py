@@ -144,10 +144,12 @@ class SchemeExpr(Frozen):
         return fold_tree(self, lambda t, kids: kind_of(t).label(t, kids))
 
     def j_linear_level(self) -> int:
-        return j_linear_level_with_rules(self)[0]
+        """The level of j_linear_level_with_rules, folded without labels."""
+        return fold_tree(self, lambda t, lv: kind_of(t).j_rule[1](t, lv))
 
     def range_level(self) -> int:
-        return range_level_with_rules(self)[0]
+        """The level of range_level_with_rules, folded without labels."""
+        return fold_tree(self, lambda t, lv: kind_of(t).range_rule[1](t, lv))
 
 
 class Empty(SchemeExpr):
@@ -415,14 +417,15 @@ class RuleApplication(Frozen):
 
 
 # JSON codecs for node fields.  Subtree fields take the children's
-# dicts in children() order; data fields are (encode, decode) pairs,
-# where decode also sees the decoded children.
+# dicts in children() order; data fields are (encode, JSON type,
+# decode) triples, where decode gets a value of exactly that type and
+# also sees the decoded children.
 _CHILD = "child"
 _CHILDREN = "children"
-_INT = (lambda v: v, lambda v, kids: int(v))
-_TWIST = (lambda t: t.name, lambda v, kids: TwistLabel(str(v)))
-_ORDER = (lambda o: [list(p) for p in o.strict_pairs()],
-          lambda v, kids: ClosureOrder.from_pairs(len(kids), (tuple(p) for p in v)))
+_INT = (lambda v: v, int, lambda v, kids: v)
+_TWIST = (lambda t: t.name, str, lambda v, kids: TwistLabel(v))
+_ORDER = (lambda o: [list(p) for p in o.strict_pairs()], list,
+          lambda v, kids: ClosureOrder.from_pairs(len(kids), _json_pairs(v)))
 
 
 class NodeKind(Frozen):
@@ -1042,7 +1045,30 @@ def _node_to_dict(x: SchemeExpr, kids: list) -> dict:
     return d
 
 
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+                    list: "an array", dict: "an object"}
+
+
+def _json_field(d: dict, key: str, json_type: type):
+    """d[key], if d has it and its type is exactly json_type (so true is
+    not an integer); SchemeError otherwise."""
+    if key not in d:
+        raise SchemeError("scheme JSON lacks %r" % key)
+    if type(d[key]) is not json_type:
+        raise SchemeError("scheme JSON %r must be %s" % (key, _JSON_TYPE_NAMES[json_type]))
+    return d[key]
+
+
+def _json_pairs(value: list) -> list[tuple[int, int]]:
+    if not all(type(p) is list and len(p) == 2 and all(type(i) is int for i in p)
+               for p in value):
+        raise SchemeError("scheme JSON 'closure_pairs' must hold [i, k] index pairs")
+    return [tuple(p) for p in value]
+
+
 def _dict_kind(d: dict) -> NodeKind:
+    if type(d) is not dict:
+        raise SchemeError("a scheme node must be a JSON object")
     name = d.get("kind")
     kind = _KINDS_BY_NAME.get(name) if isinstance(name, str) else None
     if kind is None:
@@ -1054,9 +1080,9 @@ def _dict_children(d: dict) -> list:
     out: list = []
     for key, _, codec in _dict_kind(d).fields:
         if codec is _CHILD:
-            out.append(d[key])
+            out.append(_json_field(d, key, dict))
         elif codec is _CHILDREN:
-            out.extend(d[key])
+            out.extend(_json_field(d, key, list))
     return out
 
 
@@ -1070,9 +1096,9 @@ def _node_from_dict(d: dict, kids: list) -> SchemeExpr:
         elif codec is _CHILDREN:
             args[attr] = tuple(rest)
         else:
-            args[attr] = codec[1](d[key], kids)
-    smooth = d.get("smooth")
-    return kind.cls(**args, smooth_flag=None if smooth is None else bool(smooth))
+            args[attr] = codec[2](_json_field(d, key, codec[1]), kids)
+    smooth = _json_field(d, "smooth", bool) if "smooth" in d else None
+    return kind.cls(**args, smooth_flag=smooth)
 
 
 def scheme_to_json(x: SchemeExpr) -> dict:
@@ -1080,6 +1106,9 @@ def scheme_to_json(x: SchemeExpr) -> dict:
 
 
 def scheme_from_json(data: dict) -> SchemeExpr:
+    """The tree scheme_to_json wrote; SchemeError for any other document."""
+    if type(data) is not dict:
+        raise SchemeError("a scheme document must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemeError("unsupported schema_version")
-    return fold_tree(data["expr"], _node_from_dict, _dict_children)
+    return fold_tree(_json_field(data, "expr", dict), _node_from_dict, _dict_children)

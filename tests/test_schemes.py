@@ -41,6 +41,7 @@ from wittlinear import (
     pretty,
     venn_stratification,
 )
+from wittlinear import schemes
 from wittlinear.schemes import NODE_KINDS, SchemeExpr, _check_venn, _venn_masks, kind_of
 
 GM_TREE = OpenGlue(Affine(1), Affine(0))
@@ -555,6 +556,10 @@ class TestScale:
         assert list(realization.closure_sets) == ref.realization_closures(live)
 
 
+def node_document(expr: dict) -> dict:
+    return {"schema_version": 1, "expr": expr}
+
+
 class TestSchemeJson:
     def test_round_trip_examples(self):
         cases = [
@@ -591,6 +596,44 @@ class TestSchemeJson:
         for kind in ([], {}, None, 3):
             with pytest.raises(SchemeError, match="unknown scheme node kind"):
                 scheme_from_json({"schema_version": 1, "expr": {"kind": kind}})
+
+    @pytest.mark.parametrize("document,message", [
+        ([1], "a scheme document must be a JSON object"),
+        ({"schema_version": 1}, "scheme JSON lacks 'expr'"),
+        ({"schema_version": 1, "expr": [1]}, "scheme JSON 'expr' must be an object"),
+        (node_document({"kind": "affine"}), "scheme JSON lacks 'n'"),
+        (node_document({"kind": "affine", "n": "x"}), "'n' must be an integer"),
+        (node_document({"kind": "affine", "n": True}), "'n' must be an integer"),
+        (node_document({"kind": "affine", "n": 1.5}), "'n' must be an integer"),
+        (node_document({"kind": "torus_cell", "n": 0}), "scheme JSON lacks 'd'"),
+        (node_document({"kind": "empty", "smooth": "no"}), "'smooth' must be a boolean"),
+        (node_document({"kind": "empty", "smooth": 1}), "'smooth' must be a boolean"),
+        (node_document({"kind": "proj_times_torus", "c": 1, "e": 0, "twist": 5}),
+         "'twist' must be a string"),
+        (node_document({"kind": "open_glue", "ambient": "x", "closed": {"kind": "empty"}}),
+         "'ambient' must be an object"),
+        (node_document({"kind": "closed_glue", "closed": {"kind": "empty"}}),
+         "scheme JSON lacks 'open'"),
+        (node_document({"kind": "stratified", "strata": {}, "closure_pairs": []}),
+         "'strata' must be an array"),
+        (node_document({"kind": "stratified", "strata": [1], "closure_pairs": []}),
+         "a scheme node must be a JSON object"),
+        (node_document({"kind": "stratified", "strata": [{"kind": "empty"}],
+                        "closure_pairs": [[0]]}), "must hold \\[i, k\\] index pairs"),
+        (node_document({"kind": "stratified", "strata": [{"kind": "affine", "n": 0}] * 2,
+                        "closure_pairs": [[0, True]]}), "must hold \\[i, k\\] index pairs"),
+        (node_document({"kind": "stratified", "strata": [{"kind": "affine", "n": 0}],
+                        "closure_pairs": "01"}), "'closure_pairs' must be an array"),
+    ], ids=["document-not-an-object", "no-expr", "expr-not-an-object", "no-n", "n-a-string",
+            "n-a-boolean", "n-a-float", "no-d", "smooth-a-string", "smooth-an-integer",
+            "twist-an-integer", "child-not-an-object", "no-open-child", "strata-an-object",
+            "stratum-not-an-object", "pair-of-one", "pair-with-a-boolean",
+            "pairs-a-string"])
+    def test_malformed_documents_raise_scheme_error(self, document, message):
+        # every wrong shape is a SchemeError, never a KeyError,
+        # AttributeError or TypeError, and nothing is read loosely
+        with pytest.raises(SchemeError, match=message):
+            scheme_from_json(document)
 
 
 class TestDeepTrees:
@@ -671,6 +714,18 @@ class TestCombinedFold:
         assert (rl, r_rules) == range_level_with_rules(t)
         assert len(j_rules) == len(r_rules)
         assert all(j.node is r.node for j, r in zip(j_rules, r_rules))
+
+    @settings(max_examples=80, deadline=None)
+    @given(parser_trees)
+    def test_level_methods_fold_no_labels(self, t):
+        # neither label() nor the labelled fold, which builds a label and
+        # a RuleApplication per node
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SchemeExpr, "label", lambda self: pytest.fail("label() called"))
+            patch.setattr(schemes, "_levels_with_rules",
+                          lambda *args: pytest.fail("labelled fold called"))
+            levels = (t.j_linear_level(), t.range_level())
+        assert levels == (j_linear_level_with_rules(t)[0], range_level_with_rules(t)[0])
 
     @settings(max_examples=150, deadline=None)
     @given(parser_trees)
