@@ -35,6 +35,26 @@ def test_no_unused_from_imports(name):
     assert not unused, unused
 
 
+@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
+def test_no_orphaned_private_names(name):
+    # a module-level _name that nothing in its module reads is dead code
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read(), name)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    orphans = ["line %d: %s" % (line, n) for n, line in sorted(defined.items())
+               if n.startswith("_") and not n.startswith("__") and n not in read]
+    assert not orphans, orphans
+
+
 # dataclasses and fractions, and what dataclasses imports: the command
 # line needs none of them
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "fractions")
