@@ -5,7 +5,9 @@ The matrix covers what the goldens and the README examples leave open:
 cohomology with and without --j (both step lines), range at the
 dimension cap, rccm, stratify in both modes, venn with empty strata,
 every error exit a query can reach, and each --help.  Paths are
-relative to the repo root, which the queries run in.
+relative to the repo root, which the queries run in.  The --help
+pins hold argparse's layout for the Python the file was written
+with; another version may wrap or word help differently.
 
 To rewrite the expectation file after an intended output change:
 
