@@ -302,8 +302,8 @@ class TestExponentGuard:
     """cokernel and cohomology --j refuse 2-powers too large to print
     before they build any.
 
-    The bound is lowered to 5 and the 2-power builders are made to
-    fail, so a refused query is seen to compute none of them.
+    The bound is lowered to 5 and the methods that make 2-powers are
+    made to fail, so a refused query is seen to call none of them.
     """
 
     @pytest.fixture
