@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -70,6 +71,12 @@ MAX_EXPANDED_MULTIPLICITY = 1 << 20
 # 2-power within that; above it they refuse before building any.
 MAX_PRINTED_EXPONENT = 14284
 
+# The two bounds together would still admit 2^20 units of 4300 digits
+# each, so both also refuse when the multiplicity times the digits of
+# the largest 2-power passes what cokernel Gm^20 --j0 0 prints: 2^20
+# units of at most 2^20, which has 7 digits.
+MAX_PRINTED_DIGITS = MAX_EXPANDED_MULTIPLICITY * len(str(MAX_EXPANDED_MULTIPLICITY))
+
 
 def _parse(text: str):
     with warnings.catch_warnings(record=True) as caught:
@@ -85,12 +92,10 @@ def _to_json(value) -> str:
 
     Only the types a v1 payload holds are written: dict with str keys,
     list, tuple, str, int, bool and None; anything else is a TypeError.
-    Strings go through the json module's C escaper, a list of only str
-    or only int (no bool) is written by one join, and a list of dicts
+    Strings go through the json module's C escaper, and a list of only
+    str or only int (no bool) is written by one join.  A list of dicts
     with one set of str keys (provenance records, venn strata, rccm
-    entries) row by row, with its key heads built once.  A str held in
-    rows is escaped once per call, however many rows hold that object
-    (linlevel's two provenance lists share their labels).
+    entries) is written column by column, see _write_rows.
     """
     out: list[str] = []
     _write_json(value, "", out, {})
@@ -117,49 +122,72 @@ def _write_rows(rows, indent: str, out: list[str], escaped: dict) -> bool:
     """Append rows, the dicts of a list nested at indent, if they share
     one non-empty set of str keys; False, with nothing appended, if not.
 
-    escaped maps id(s) to the text of each str s already written in
-    rows.  The payload holds every such s until the writer returns, so
-    no id is reused; keying by value would hash every long label."""
+    Each key's values are gathered into a column and turned into texts
+    by _column_texts.  The texts then go to out by reference, row by
+    row between the key heads, which are built once: no row is joined
+    into a string of its own, so no text is copied again before the
+    final join."""
     keys = rows[0].keys()
     if not keys or not all(type(key) is str for key in keys) or not all(
             type(row) is dict and row.keys() == keys for row in rows):
         return False
-    keys = sorted(keys)
     inner = indent + "  "
     field = inner + "  "
-    heads = [",\n" + field + encode_basestring_ascii(key) + ": " for key in keys]
-    heads[0] = "{" + heads[0][1:]
-    columns = list(zip(keys, heads))
-    sep = "[\n" + inner
-    for row in rows:
-        out.append(sep)
-        for key, head in columns:
-            item = row[key]
-            write = _SCALAR_TEXT.get(type(item))
-            if write is encode_basestring_ascii:
-                text = escaped.get(id(item))
-                if text is None:
-                    text = escaped[id(item)] = write(item)
-            elif write is not None:
-                text = write(item)
-            elif type(item) is list:
-                text = _joined(item, field) if item else "[]"
-            else:
-                text = None
-            out.append(head)
-            if text is not None:
-                out.append(text)
-            else:
-                _write_json(item, field, out, escaped)
-        out.append("\n" + inner + "}")
-        sep = ",\n" + inner
-    out.append("\n" + indent + "]")
+    columns = []
+    for key in sorted(keys):
+        columns += (repeat(",\n" + field + encode_basestring_ascii(key) + ": "),
+                    _column_texts([row[key] for row in rows], field, escaped))
+    # the first key's head also opens its row, and from the second row
+    # on closes the row before
+    close = "\n" + inner + "}"
+    head = "{" + next(columns[0])[1:]
+    columns[0] = chain(("[\n" + inner + head,), repeat(close + ",\n" + inner + head))
+    out.extend(chain.from_iterable(zip(*columns)))
+    out.append(close + "\n" + indent + "]")
     return True
+
+
+def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
+    """The texts of the values in column, each nested at indent.
+
+    A column of one exact type is typed in one pass and written in one
+    more: str through escaped, int by int.__repr__, and lists whose
+    items are all str or all int by one join each.  Any other column is
+    written value by value through _write_json.
+
+    escaped maps id(s) to the text of each str s already written in a
+    str column.  The payload holds every such s until the writer
+    returns, so no id is reused; keying by value would hash every long
+    label.  A str held in many rows (linlevel's two provenance lists
+    share their labels) is so escaped once per call."""
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        fresh = {id(s): s for s in column if id(s) not in escaped}
+        escaped.update(zip(fresh, map(encode_basestring_ascii, fresh.values())))
+        return list(map(escaped.__getitem__, map(id, column)))
+    if kind is int:
+        return list(map(int.__repr__, column))
+    if kind is list:
+        # a column of only empty lists has no item to type
+        kinds = set(map(type, chain.from_iterable(column))) or {int}
+        write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is not None:
+            inner = indent + "  "
+            head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+            return [head + sep.join(map(write, value)) + tail if value else "[]"
+                    for value in column]
+    texts = []
+    for value in column:
+        pieces: list[str] = []
+        _write_json(value, indent, pieces, escaped)
+        texts.append("".join(pieces))
+    return texts
 
 
 def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
     """Append the pieces of value, nested at this indent, to out;
-    escaped is _write_rows' memo for this call."""
+    escaped is _column_texts' memo for this call."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -326,6 +354,19 @@ def _check_expansion(expr: str, total, exponent: int) -> None:
             "%s at these levels needs 2^%d; cokernel and cohomology --j "
             "print 2-powers up to 2^%d" % (expr, exponent, MAX_PRINTED_EXPONENT)
         )
+    digits = _two_power_digits(max(exponent, 0))
+    if total.total_multiplicity * digits > MAX_PRINTED_DIGITS:
+        raise UnsupportedQueryError(
+            "%s at these levels prints %d units with 2-powers of up to %d digits; "
+            "cokernel and cohomology --j print at most %d digits in all"
+            % (expr, total.total_multiplicity, digits, MAX_PRINTED_DIGITS)
+        )
+
+
+def _two_power_digits(k: int) -> int:
+    """The number of decimal digits of 2^k, for 0 <= k <= MAX_PRINTED_EXPONENT,
+    without building 2^k: floor(k log10 2) + 1, with log10 2 to 20 places."""
+    return k * 30102999566398119521 // 10**20 + 1
 
 
 def cmd_cohomology(args) -> tuple[dict, list[str]]:
@@ -472,24 +513,25 @@ def cmd_venn(args) -> tuple[dict, list[str]]:
     strata_payload = []
     text = ["venn decomposition of %d sets:" % args.n]
     for s in report.strata:
-        names = sorted(i + 1 for i in s.members)
-        points = sorted(str(p) for p in s.points)
-        strata_payload.append({"sets": names, "points": points})
-        if points:
+        names = [i + 1 for i in sorted(s.members)]
+        points = []
+        if s.points:
+            points = sorted(map(str, s.points))
             text.append("  {%s}: %s" % (
                 ",".join("A%d" % i for i in names), " ".join(points)))
+        strata_payload.append({"sets": names, "points": points})
+    nonempty = len(report.nonempty)
     payload = {
         "n": args.n,
         "strata": strata_payload,
-        "nonempty_strata": len(report.nonempty),
+        "nonempty_strata": nonempty,
         "candidate_strata": len(report.strata),
         "partition_check": partition,
         "boundary_check": boundary,
         "irreducibility": "declared",
     }
     return payload, text + [
-        "nonempty strata: %d of %d candidates" % (
-            len(report.nonempty), len(report.strata)),
+        "nonempty strata: %d of %d candidates" % (nonempty, len(report.strata)),
         "partition check: %s" % partition,
         "boundary check: %s" % boundary,
     ]

@@ -22,7 +22,7 @@ stratification is rewritten as a nested closed decomposition.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from operator import and_, attrgetter, invert, or_
 from typing import Callable, Iterable, Sequence
 
 from ._frozen import Frozen, replace, set_field
@@ -935,20 +935,18 @@ def _venn_masks(families: Sequence[int]) -> tuple[list[int], list[int]]:
 
     For a bitset J of set indices, inter[J] holds the points lying in
     every set of J (all points for J = 0) and strata[J] those lying in
-    exactly the sets of J.  Both tables are built over J by dropping
-    its lowest bit.
+    exactly the sets of J.  Both tables are built one set at a time:
+    the entries for the J whose highest member is j are those of J
+    without j, each cut down or joined up with set j by one map.
     """
-    full = (1 << len(families)) - 1
-    by_bit = {1 << j: f for j, f in enumerate(families)}
-    inter = [0] * (full + 1)
-    union = [0] * (full + 1)
-    inter[0] = -1  # every bit set, so inter[{j}] = families[j]; fixed below
-    for J in range(1, full + 1):
-        low = J & -J
-        inter[J] = inter[J ^ low] & by_bit[low]
-        union[J] = union[J ^ low] | by_bit[low]
-    inter[0] = union[full]
-    strata = [inter[J] & ~union[full ^ J] for J in range(full + 1)]
+    inter = [-1]  # every bit set, so inter[{j}] = families[j]; fixed below
+    union = [0]
+    for f in families:
+        inter += list(map(and_, inter, itertools.repeat(f)))
+        union += list(map(or_, union, itertools.repeat(f)))
+    inter[0] = union[-1]
+    # union read backwards is the union of the sets outside each J
+    strata = list(map(and_, inter, map(invert, reversed(union))))
     return inter, strata
 
 
@@ -971,13 +969,14 @@ def _check_venn(inter: Sequence[int], strata: Sequence[int]) -> None:
         seen |= strata[J]
     if seen != inter[0]:
         counterexamples.append("the strata do not cover the union of the sets")
+    # one set index at a time, OR each stratum of J into that of J
+    # without the index; the lowest index goes first, and moving each
+    # table's even half before its odd half rotates the index bits, so
+    # every index comes lowest once and the table ends in its own order
     deeper = list(strata)
-    bit = 1
-    while bit < size:
-        for base in range(0, size, 2 * bit):
-            for J in range(base, base + bit):
-                deeper[J] |= deeper[J | bit]
-        bit <<= 1
+    for _ in range(size.bit_length() - 1):
+        odd = deeper[1::2]
+        deeper = list(map(or_, deeper[::2], odd)) + odd
     counterexamples.extend(
         "closure of stratum %r mismatches its deeper strata" % list(_bits(J))
         for J in range(1, size) if deeper[J] != inter[J]
@@ -1014,17 +1013,20 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
 
     points = list(universe)
     bit_of = {p: 1 << i for i, p in enumerate(points)}
-    inter, masks = _venn_masks([sum(bit_of[p] for p in f) for f in families])
+    inter, masks = _venn_masks([sum(map(bit_of.__getitem__, f)) for f in families])
     _check_venn(inter, masks)
 
     strata = []
     empty: frozenset = frozenset()
+    bit = [1 << j for j in range(n)]
     for r in range(n, 0, -1):
-        for J in itertools.combinations(range(n), r):
-            mask = masks[sum(1 << j for j in J)]
+        # each index set J beside the same set of its bits
+        for J, bits in zip(itertools.combinations(range(n), r),
+                           itertools.combinations(bit, r)):
+            mask = masks[sum(bits)]
             strata.append(VennStratum(
                 frozenset(J),
-                frozenset(points[i] for i in _bits(mask)) if mask else empty,
+                frozenset(map(points.__getitem__, _bits(mask))) if mask else empty,
             ))
     return VennReport(tuple(strata), True, True)
 

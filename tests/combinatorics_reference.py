@@ -76,3 +76,30 @@ def realization_closures(strata) -> list[frozenset]:
     members contain each stratum's own, by comparing every pair."""
     return [frozenset(k for k, (other, _) in enumerate(strata) if members <= other)
             for members, _ in strata]
+
+
+def venn_check_failures(inter, strata) -> list[str]:
+    """What the venn decomposition check reports for bitset tables over
+    set masks J, each claim tested for every J on its own: the strata
+    over nonempty J are pairwise disjoint and cover inter[0], and each
+    inter[J] is the union of the strata whose index set contains J."""
+    size = len(strata)
+
+    def named(J):
+        return [j for j in range(size.bit_length()) if J >> j & 1]
+
+    out = ["stratum %r shares points with another stratum" % named(J)
+           for J in range(1, size) if any(strata[J] & strata[K] for K in range(1, J))]
+    union = 0
+    for J in range(1, size):
+        union |= strata[J]
+    if union != inter[0]:
+        out.append("the strata do not cover the union of the sets")
+    for J in range(1, size):
+        deeper = 0
+        for K in range(size):
+            if K & J == J:
+                deeper |= strata[K]
+        if deeper != inter[J]:
+            out.append("closure of stratum %r mismatches its deeper strata" % named(J))
+    return out

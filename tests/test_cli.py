@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import combinatorics_reference as ref
 from helpers import cli_env, parser_trees
 from wittlinear import cli, grammar, ranges, schemes, shifted
 
@@ -355,6 +356,50 @@ class TestExponentGuard:
         assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "-14000"]) == 0
         assert cli.main(["cohomology", "Gm", "--j", "14284", "--format", "json"]) == 0
 
+    @pytest.fixture
+    def small_digit_cap(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_PRINTED_DIGITS", 20)
+
+    @pytest.mark.parametrize("argv,units,digits", [
+        # Gm^3 has 8 units and shifts 0..3: from j0 = -7 they print up to 2^10
+        (["cokernel", "Gm^3", "--i", "0", "--j0", "-7"], 8, 4),
+        # Gm has 2 units and lowest shift 0: at j = 34 they print 2^34
+        (["cohomology", "Gm", "--j", "34"], 2, 11),
+    ], ids=["cokernel", "cohomology"])
+    def test_many_long_units_exit_4(self, small_digit_cap, no_two_powers, capsys, argv,
+                                    units, digits):
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: %s at these levels prints %d units with 2-powers of up "
+                       "to %d digits; cokernel and cohomology --j print at most 20 "
+                       "digits in all\n" % (argv[1], units, digits))
+
+    def test_at_the_digit_cap_answers(self, small_digit_cap, capsys):
+        # 8 units of at most 2^6 = 64 and 2 units of at most 2^30 (10 digits)
+        assert cli.main(["cokernel", "Gm^3", "--i", "0", "--j0", "-3"]) == 0
+        assert cli.main(["cohomology", "Gm", "--j", "30"]) == 0
+        assert "at level j = 30: 1073741824Z (+) 536870912Z" in capsys.readouterr().out
+
+    def test_each_bound_alone_admits_the_far_levels_of_a_large_cell(self, no_two_powers,
+                                                                    capsys):
+        # 2^20 units and 2^14020 are each within their own bound
+        assert cli.main(["cokernel", "Gm^20", "--i", "0", "--j0", "-14000"]) == 4
+        assert cli.main(["cohomology", "Gm^20", "--j", "14000"]) == 4
+        assert capsys.readouterr().err.count("print at most 7340032 digits in all") == 2
+
+    def test_the_digit_cap_is_what_gm20_prints_at_level_0(self):
+        # 2^20 units of at most 2^20, which has 7 digits
+        assert cli.MAX_PRINTED_DIGITS == 2**20 * len(str(2**20))
+
+    def test_two_power_digits(self):
+        power, digits, bound = 1, 1, 10
+        for k in range(cli.MAX_PRINTED_EXPONENT + 1):
+            if power >= bound:
+                digits, bound = digits + 1, bound * 10
+            assert cli._two_power_digits(k) == digits, k
+            power <<= 1
+
 
 # JSON input files of the wrong shape, as (command, file text)
 MALFORMED_FILES = [
@@ -471,6 +516,22 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._to_json(rows)
 
+    SHARED = 'a "label" with a \\ and \u00e9 ' * 3
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": [1, 2], "b": 0}, {"a": ["x", "y"], "b": 1}],
+        [{"a": [], "b": []}, {"a": [], "b": []}],
+        [{"a": [1, True]}, {"a": [2, 3]}],
+        [{"a": [1, None]}, {"a": [2, 3]}],
+        [{"a": 10**60, "b": [-10**60, 10**60]}, {"a": -10**60, "b": [10**60]}],
+        [{"a": SHARED, "b": SHARED}, {"a": "x", "b": SHARED}],
+        [{'q"\\\n\u00e9': 1, "%s%d%%": "%s"}, {'q"\\\n\u00e9': 2, "%s%d%%": "%%"}],
+    ], ids=["int-and-str-list-rows", "only-empty-lists", "bool-in-int-lists",
+            "none-in-int-lists", "ints-of-61-digits", "str-shared-by-two-columns",
+            "keys-to-escape-and-percent"])
+    def test_column_fallbacks_match_json_dumps(self, rows):
+        for value in (rows, {"k": rows}, [rows, [rows]]):
+            assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_a_string_shared_between_rows_is_written_each_time(self):
         # one str object in rows of two lists and at top level, plus an
@@ -566,9 +627,17 @@ class TestOnePassPerQuery:
         assert calls == Counter(expected)
 
 
+SMALL_SETS = st.one_of(
+    st.lists(st.frozensets(st.integers(-3, 12), max_size=6), min_size=1, max_size=6),
+    st.lists(st.frozensets(st.text("ab%\"\u00e9", max_size=2), max_size=6),
+             min_size=1, max_size=6),
+)
+
+
 class TestAgainstTheLibrary:
     """The linlevel and range payloads hold what the library folds give
-    for the same tree."""
+    for the same tree, and the venn payload the pointwise strata for the
+    same sets."""
 
     @staticmethod
     def payload(capsys, argv):
@@ -615,6 +684,21 @@ class TestAgainstTheLibrary:
             "result": result,
             "schema_version": schemes.SCHEMA_VERSION,
         }
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(SMALL_SETS)
+    def test_venn_payload(self, tmp_path, capsys, sets):
+        path = tmp_path / "sets.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "sets": [sorted(s) for s in sets]}))
+        got = self.payload(capsys, ["venn", str(len(sets)), "--file", str(path)])
+        strata = [{"sets": sorted(j + 1 for j in members),
+                   "points": sorted(str(p) for p in points)}
+                  for members, points in ref.venn_strata(sets)]
+        assert got["strata"] == strata
+        assert got["nonempty_strata"] == sum(1 for s in strata if s["points"])
+        assert got["candidate_strata"] == len(strata) == 2 ** len(sets) - 1
 
 
 class TestReimport:

@@ -459,6 +459,21 @@ class TestBitsetCombinatorics:
         report = venn_stratification(sets)
         assert [(s.members, s.points) for s in report.strata] == ref.venn_strata(sets)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 15), min_size=1 << n, max_size=1 << n),
+        st.lists(st.integers(0, 15), min_size=1 << n, max_size=1 << n))))
+    def test_venn_check_matches_pointwise_reference(self, tables):
+        # arbitrary tables, so that each claim fails in every way it can
+        inter, strata = tables
+        failures = ref.venn_check_failures(inter, strata)
+        if not failures:
+            _check_venn(inter, strata)
+            return
+        with pytest.raises(InternalConsistencyError) as caught:
+            _check_venn(inter, strata)
+        assert str(caught.value) == "venn decomposition checks failed: " + "; ".join(failures)
+
     @settings(max_examples=300, deadline=None)
     @given(relations())
     def test_constructor_accepts_exactly_partial_orders(self, case):
