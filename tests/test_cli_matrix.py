@@ -4,7 +4,9 @@ query in CASES, in both formats, against tests/golden/cli_matrix.json.
 The matrix covers what the goldens and the README examples leave open:
 cohomology with and without --j (both step lines), range at the
 dimension cap, rccm, stratify in both modes, venn with empty strata,
-every error exit a query can reach, and each --help.  Paths are
+every error exit a query can reach, each --help, and linlevel, range
+and rccm on depth-40 open, closed and product chains and a 20-stratum
+strat, whose provenance labels are long and repeated.  Paths are
 relative to the repo root, which the queries run in.  The --help
 pins hold argparse's layout for the Python the file was written
 with; another version may wrap or word help differently.
@@ -26,6 +28,30 @@ from wittlinear import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = os.path.join(ROOT, "tests", "golden", "cli_matrix.json")
+
+# depth-40 chains of each deep family and a 20-stratum strat: long
+# provenance labels, repeated subtrees and a wide node
+DEPTH = 40
+OPEN_CHAIN = "open(" * DEPTH + "A^3" + "".join(
+    ", %s)" % ("empty", "A^0", "A^1", "A^2")[k % 4] for k in range(DEPTH))
+
+
+def _closed_chain() -> str:
+    text = "Gm^2"
+    for k in range(DEPTH):
+        z = ("A^0", "A^1", "Gm", "A^2")[k % 4]
+        text = "closed(%s, %s)" % ((z, text) if k % 3 else (text, z))
+    return text
+
+
+CLOSED_CHAIN = _closed_chain()
+PRODUCT_CHAIN = " * ".join(("A^1", "Gm", "A^0", "Gm^2", "A^3")[k % 5] for k in range(DEPTH + 1))
+WIDE_STRAT = "strat(%s; 0<1, 2<5, 7<19)" % ", ".join(
+    "open(" * (1 + k % 3) + "A^%d" % (1 + k % 2) + ", A^0)" * (1 + k % 3) for k in range(20))
+DEEP = [OPEN_CHAIN, CLOSED_CHAIN, PRODUCT_CHAIN, WIDE_STRAT]
+# test ids name the deep trees instead of spelling them out
+DEEP_NAMES = dict(zip(DEEP, ("<open chain>", "<closed chain>", "<product chain>",
+                             "<wide strat>")))
 
 QUERIES = [
     ["linlevel", "strat(open(A^2, A^0) * Gm, closed(P^1 @O(2) * Gm, empty), "
@@ -72,6 +98,12 @@ QUERIES = [
     ["stratify"],
     ["stratify", "A^1"],
     ["venn", "21", "--file", "tests/data/venn21.json"],
+    # deep trees: the three tree commands' provenance at depth
+    *(q for tree in DEEP for q in (
+        ["linlevel", tree],
+        ["range", tree, "--smooth", "--i", "0"],
+        ["rccm", tree, "--smooth", "--i", "1"],
+    )),
 ]
 
 # argparse's own exits, with no --format
@@ -111,7 +143,8 @@ def test_the_file_pins_every_case():
 
 
 @pytest.mark.parametrize("index", range(len(CASES)),
-                         ids=[" ".join(c) or "(no arguments)" for c in CASES])
+                         ids=[" ".join(DEEP_NAMES.get(a, a) for a in c) or "(no arguments)"
+                              for c in CASES])
 def test_bytes_and_exit_code(index):
     expected = _load()[index]
     assert run(expected["argv"]) == expected
