@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import warnings
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -42,8 +42,10 @@ from .schemes import (
     SchemeError,
     Stratified,
     as_torus_cell,
+    derivation,
     json_point_lists,
     levels_with_rules,
+    replay,
     split_order,
     venn_stratification,
     SCHEMA_VERSION,
@@ -91,20 +93,37 @@ def _to_json(value) -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True).
 
     Only the types a v1 payload holds are written: dict with str keys,
-    list, tuple, str, int, bool and None; anything else is a TypeError.
-    Strings go through the json module's C escaper, and a list of only
-    str or only int (no bool) is written by one join.  A list of dicts
-    with one set of str keys (provenance records, venn strata, rccm
-    entries) is written column by column, see _write_rows.
+    list, tuple, str, int, bool and None, and _Columns, written as the
+    list of dicts it stands for; anything else is a TypeError.  Strings
+    go through the json module's C escaper unless a whole str column is
+    plain, and a list of only str or only int (no bool) is written by
+    one join.  A list of dicts with one set of str keys (provenance
+    records, venn strata, rccm entries) is gathered into columns and
+    written column by column, see _write_columns.
     """
     out: list[str] = []
     _write_json(value, "", out, {})
     return "".join(out)
 
 
+class _Columns:
+    """A list of dicts with one set of str keys, held as one list per
+    key: _to_json writes it, and it compares equal, as that list."""
+
+    def __init__(self, **columns: list) -> None:
+        self.columns = columns
+
+    def __eq__(self, other):
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())] == other
+
+
 # exact types written without a call of their own; bool, None and
 # subclasses take the full path
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+# the bytes a str written by json.dumps keeps as they are: printable
+# ASCII but '"' and '\'
+_PLAIN = bytes(range(0x20, 0x7f)).translate(None, b'"\\')
 
 
 def _joined(value, indent: str) -> str | None:
@@ -120,55 +139,70 @@ def _joined(value, indent: str) -> str | None:
 
 def _write_rows(rows, indent: str, out: list[str], escaped: dict) -> bool:
     """Append rows, the dicts of a list nested at indent, if they share
-    one non-empty set of str keys; False, with nothing appended, if not.
-
-    Each key's values are gathered into a column and turned into texts
-    by _column_texts.  The texts then go to out by reference, row by
-    row between the key heads, which are built once: no row is joined
-    into a string of its own, so no text is copied again before the
-    final join."""
+    one non-empty set of str keys, by gathering them into columns; False,
+    with nothing appended, if not."""
     keys = rows[0].keys()
     if not keys or not all(type(key) is str for key in keys) or not all(
             type(row) is dict and row.keys() == keys for row in rows):
         return False
+    _write_columns({key: [row[key] for row in rows] for key in keys}, indent, out, escaped)
+    return True
+
+
+def _write_columns(columns: dict, indent: str, out: list[str], escaped: dict) -> None:
+    """Append the list of dicts that columns, equal-length lists under
+    str keys, stands for, nested at indent.
+
+    Each column is turned into texts by _column_texts.  The texts then
+    go to out by reference, row by row between the key heads, which are
+    built once: no row is joined into a string of its own, so no text is
+    copied again before the final join."""
+    if not any(columns.values()):
+        out.append("[]")
+        return
     inner = indent + "  "
     field = inner + "  "
-    columns = []
-    for key in sorted(keys):
-        columns += (repeat(",\n" + field + encode_basestring_ascii(key) + ": "),
-                    _column_texts([row[key] for row in rows], field, escaped))
+    texts = []
+    for key in sorted(columns):
+        texts += (repeat(",\n" + field + encode_basestring_ascii(key) + ": "),
+                  _column_texts(columns[key], field, escaped))
     # the first key's head also opens its row, and from the second row
     # on closes the row before
     close = "\n" + inner + "}"
-    head = "{" + next(columns[0])[1:]
-    columns[0] = chain(("[\n" + inner + head,), repeat(close + ",\n" + inner + head))
-    out.extend(chain.from_iterable(zip(*columns)))
+    head = "{" + next(texts[0])[1:]
+    texts[0] = chain(("[\n" + inner + head,), repeat(close + ",\n" + inner + head))
+    out.extend(chain.from_iterable(zip(*texts)))
     out.append(close + "\n" + indent + "]")
-    return True
 
 
 def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
     """The texts of the values in column, each nested at indent.
 
     A column of one exact type is typed in one pass and written in one
-    more: str through escaped, int by int.__repr__, and lists whose
-    items are all str or all int by one join each.  Any other column is
-    written value by value through _write_json.
+    more: str through escaped, int by int.__repr__, and lists or tuples
+    whose items are all str or all int by one join each.  Any other
+    column is written value by value through _write_json.
 
     escaped maps id(s) to the text of each str s already written in a
     str column.  The payload holds every such s until the writer
     returns, so no id is reused; keying by value would hash every long
     label.  A str held in many rows (linlevel's two provenance lists
-    share their labels) is so escaped once per call."""
+    share their labels) is so written once per call.  The new strings
+    of a column are tested at once, over their join: if all are plain
+    (see _PLAIN), each is written between quotes as it is, and
+    otherwise each goes through the C escaper."""
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
         fresh = {id(s): s for s in column if id(s) not in escaped}
-        escaped.update(zip(fresh, map(encode_basestring_ascii, fresh.values())))
+        joined = "".join(fresh.values())
+        plain = joined.isascii() and not joined.encode().translate(None, _PLAIN)
+        write = '"{}"'.format if plain else encode_basestring_ascii
+        escaped.update(zip(fresh, map(write, fresh.values())))
         return list(map(escaped.__getitem__, map(id, column)))
     if kind is int:
         return list(map(int.__repr__, column))
-    if kind is list:
+    if kind is list or kind is tuple:
         # a column of only empty lists has no item to type
         kinds = set(map(type, chain.from_iterable(column))) or {int}
         write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
@@ -225,6 +259,8 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         out.append("\n" + indent + "]")
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
+    elif type(value) is _Columns:
+        _write_columns(value.columns, indent, out, escaped)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -237,11 +273,10 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _rules(provenance) -> list[dict]:
-    return [
-        {"node": r.node, "rule": r.rule, "inputs": list(r.inputs), "level": r.level}
-        for r in provenance
-    ]
+def _rules(provenance) -> _Columns:
+    return _Columns(node=[r.node for r in provenance], rule=[r.rule for r in provenance],
+                    inputs=[list(r.inputs) for r in provenance],
+                    level=[r.level for r in provenance])
 
 
 def _rule_names(provenance) -> str:
@@ -256,19 +291,26 @@ def _read_json(path: str):
 def cmd_linlevel(args) -> tuple[dict, list[str]]:
     tree = _parse(args.expr)
     expr = pretty(tree)
-    jl, j_rules, rl, r_rules = levels_with_rules(tree)
+    nodes = derivation(tree)
+    labels = [label for _, _, label, _ in nodes]
+    j_names, j_inputs, j_levels = replay(nodes, "j_rule")
+    r_names, r_inputs, r_levels = replay(nodes, "range_rule")
+    jl, rl = j_levels[-1], r_levels[-1]
     payload = {
         "expr": expr,
         "dim": tree.dim,
         "j_linear_level": jl,
         "range_level": rl,
-        "provenance": {"j_linear": _rules(j_rules), "range": _rules(r_rules)},
+        "provenance": {
+            "j_linear": _Columns(node=labels, rule=j_names, inputs=j_inputs, level=j_levels),
+            "range": _Columns(node=labels, rule=r_names, inputs=r_inputs, level=r_levels),
+        },
     }
     return payload, [
         "scheme: %s" % expr,
         "dim: %d" % tree.dim,
-        "j-linear level: %d  [%s]" % (jl, _rule_names(j_rules)),
-        "range level: %d  [%s]" % (rl, _rule_names(r_rules)),
+        "j-linear level: %d  [%s]" % (jl, ", ".join(j_names)),
+        "range level: %d  [%s]" % (rl, ", ".join(r_names)),
     ]
 
 
@@ -510,20 +552,18 @@ def cmd_venn(args) -> tuple[dict, list[str]]:
     report = venn_stratification(sets, ground)
     partition = "PASS" if report.partition_ok else "FAIL"
     boundary = "PASS" if report.boundary_ok else "FAIL"
-    strata_payload = []
+    # the strata come in venn_stratification's order, which combinations
+    # gives for the 1-based set names
+    names = [list(c) for r in range(args.n, 0, -1)
+             for c in combinations(range(1, args.n + 1), r)]
+    points = [sorted(map(str, s.points)) if s.points else [] for s in report.strata]
     text = ["venn decomposition of %d sets:" % args.n]
-    for s in report.strata:
-        names = [i + 1 for i in sorted(s.members)]
-        points = []
-        if s.points:
-            points = sorted(map(str, s.points))
-            text.append("  {%s}: %s" % (
-                ",".join("A%d" % i for i in names), " ".join(points)))
-        strata_payload.append({"sets": names, "points": points})
+    text += ["  {%s}: %s" % (",".join("A%d" % i for i in sets), " ".join(p))
+             for sets, p in zip(names, points) if p]
     nonempty = len(report.nonempty)
     payload = {
         "n": args.n,
-        "strata": strata_payload,
+        "strata": _Columns(sets=names, points=points),
         "nonempty_strata": nonempty,
         "candidate_strata": len(report.strata),
         "partition_check": partition,

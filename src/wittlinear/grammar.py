@@ -32,15 +32,17 @@ text printer in schemes.NODE_KINDS, next to its provenance label.
 Parsing a pretty-printed tree reproduces the tree (smoothness
 assertions are not part of the grammar and are dropped by pretty()).
 
-The tokenizer is one compiled regex scanned over the text: each match
-is optional whitespace (space, tab, carriage return, newline) and then
-an integer (an optional "-" and ASCII digits), a name (an ASCII letter
-or "_", then ASCII letters, digits or "_"), one punctuation character,
-or any other character, which is a ParseError.  So a digit or letter
-outside ASCII, such as a superscript two, is an unexpected character
-and never a number.  Tokens are plain (kind, text, offset) tuples; a
-ParseError turns its offset into a line and column only when it is
-raised (a newline starts a line; every other character, tab and
+The tokenizer is one compiled regex: each match is optional whitespace
+(space, tab, carriage return, newline) and then an integer (an
+optional "-" and ASCII digits), a name (an ASCII letter or "_", then
+ASCII letters, digits or "_") or one punctuation character.  Any other
+character, such as a "-" before no digit or a digit or letter outside
+ASCII (a superscript two is never a number), is a ParseError, found by
+one search before the scan.  Tokens are their bare texts, from one
+findall, with "" for the end of input; a token's kind is read off its
+first character.  Tokens carry no offsets: a ParseError scans the text
+again up to its token, and only then turns that offset into a line
+and column (a newline starts a line; every other character, tab and
 carriage return included, is one column).
 
 The parser is recursive descent over the token list, two interpreter
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from itertools import islice
 
 from .schemes import (
     Affine,
@@ -89,14 +92,14 @@ class UnknownTwistWarning(UserWarning):
     pass
 
 
-# whitespace, then one token: an integer, a name, one punctuation
-# character, or (group 4) any other character, which is an error
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([\^*@(),;<])|(.))",
-    re.DOTALL,
-)
-# the kind of each group; a punctuation token's kind is its character
-_KINDS = (None, "INT", "NAME", None)
+# whitespace, then one token: an integer, a name or one punctuation
+# character; trailing whitespace starts no match
+_TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\^*@(),;<])")
+# a character that starts no token: outside the token alphabet, or a "-"
+# before no digit
+_BAD = re.compile(r"[^ \t\r\n0-9A-Za-z_^*@(),;<-]|-(?![0-9])")
+_INT_START = frozenset("-0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _error(text: str, message: str, offset: int) -> ParseError:
@@ -105,70 +108,69 @@ def _error(text: str, message: str, offset: int) -> ParseError:
                       offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of each token, ending with ("EOF", "", len(text))."""
-    tokens = []
-    # the scan stops before trailing whitespace, which would otherwise end
-    # in a match of its last character as an unexpected one
-    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r\n"))):
-        group = m.lastindex
-        if group == 4:
-            raise _error(text, "unexpected character %r" % m[4], m.start(4))
-        token = m[group]
-        tokens.append((_KINDS[group] or token, token, m.start(group)))
-    tokens.append(("EOF", "", len(text)))
-    return tokens
-
-
 class _Parser:
     """Recursive descent over the tokens of text, read by index."""
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        bad = _BAD.search(text)
+        if bad:
+            raise _error(text, "unexpected character %r" % bad[0], bad.start())
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
         self.pos = 0
 
-    def fail(self, message: str, offset: int | None = None) -> ParseError:
-        if offset is None:
-            offset = self.tokens[self.pos][2]
-        return _error(self.text, message, offset)
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at the token at index (by default the current one)."""
+        if index is None:
+            index = self.pos
+        m = next(islice(_TOKEN.finditer(self.text), index, None), None)
+        return _error(self.text, message, m.start(1) if m else len(self.text))
 
-    def expect(self, kind: str, what: str) -> str:
-        found, token, _ = self.tokens[self.pos]
-        if found != kind:
+    def expect(self, token: str, what: str) -> None:
+        found = self.tokens[self.pos]
+        if found != token:
+            raise self.fail("expected %s, found %r" % (what, found or "end of input"))
+        self.pos += 1
+
+    def word(self, start: frozenset, what: str) -> str:
+        """The current token, an integer or a name as start says, and
+        step past it."""
+        token = self.tokens[self.pos]
+        if token[:1] not in start:
             raise self.fail("expected %s, found %r" % (what, token or "end of input"))
         self.pos += 1
         return token
 
     def nat(self, what: str) -> int:
-        value = int(self.expect("INT", what))
+        value = int(self.word(_INT_START, what))
         if value < 0:
-            raise self.fail("%s must be non-negative" % what, self.tokens[self.pos - 1][2])
+            raise self.fail("%s must be non-negative" % what, self.pos - 1)
         return value
 
     def parse_expr(self) -> SchemeExpr:
         node = self.parse_term()
         tokens = self.tokens
-        while tokens[self.pos][0] == "*":
+        while tokens[self.pos] == "*":
             self.pos += 1
             node = _combine(node, self.parse_term())
         return node
 
     def parse_term(self) -> SchemeExpr:
-        kind, name, offset = self.tokens[self.pos]
-        if kind == "(":
+        name = self.tokens[self.pos]
+        if name == "(":
             self.pos += 1
             inner = self.parse_expr()
             self.expect(")", "')'")
             return inner
-        if kind != "NAME":
+        if name[:1] not in _NAME_START:
             raise self.fail("expected a scheme term, found %r" % (name or "end of input"))
         self.pos += 1
         if name == "A":
             self.expect("^", "'^'")
             return Affine(self.nat("affine dimension"))
         if name == "Gm":
-            if self.tokens[self.pos][0] == "^":
+            if self.tokens[self.pos] == "^":
                 self.pos += 1
                 return TorusCell(0, self.nat("torus rank"))
             return TorusCell(0, 1)
@@ -176,7 +178,7 @@ class _Parser:
             self.expect("^", "'^'")
             c = self.nat("projective dimension")
             twist = TwistLabel.trivial()
-            if self.tokens[self.pos][0] == "@":
+            if self.tokens[self.pos] == "@":
                 self.pos += 1
                 twist = self.parse_twist()
             return ProjTimesTorus(c, 0, twist)
@@ -198,13 +200,13 @@ class _Parser:
             return self.parse_strat()
         if name == "empty":
             return Empty()
-        raise self.fail("unknown term %r" % name, offset)
+        raise self.fail("unknown term %r" % name, self.pos - 1)
 
     def parse_twist(self) -> TwistLabel:
-        name = self.expect("NAME", "a twist name")
-        if name == "O" and self.tokens[self.pos][0] == "(":
+        name = self.word(_NAME_START, "a twist name")
+        if name == "O" and self.tokens[self.pos] == "(":
             self.pos += 1
-            k = int(self.expect("INT", "an integer twist degree"))
+            k = int(self.word(_INT_START, "an integer twist degree"))
             self.expect(")", "')'")
             return TwistLabel.o(k)
         warnings.warn(
@@ -219,14 +221,14 @@ class _Parser:
         tokens = self.tokens
         self.expect("(", "'('")
         strata = [self.parse_expr()]
-        while tokens[self.pos][0] == ",":
+        while tokens[self.pos] == ",":
             self.pos += 1
             strata.append(self.parse_expr())
         self.expect(";", "';'")
         pairs: list[tuple[int, int]] = []
-        if tokens[self.pos][0] != ")":
+        if tokens[self.pos] != ")":
             pairs.append(self.parse_pair())
-            while tokens[self.pos][0] == ",":
+            while tokens[self.pos] == ",":
                 self.pos += 1
                 pairs.append(self.parse_pair())
         self.expect(")", "')'")
@@ -257,8 +259,8 @@ def parse_expr(text: str) -> SchemeExpr:
     except RecursionError:
         # the parser recurses once per nesting level; report where it gave up
         raise parser.fail("expression nests too deeply") from None
-    kind, token, _ = parser.tokens[parser.pos]
-    if kind != "EOF":
+    token = parser.tokens[parser.pos]
+    if token:
         raise parser.fail("trailing input %r" % token)
     return node
 

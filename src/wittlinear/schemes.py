@@ -597,15 +597,10 @@ def fold_tree(root, visit: Callable, children: Callable = lambda x: x.children()
     return values[0]
 
 
-def _levels_with_rules(x: SchemeExpr, *tables: str) -> tuple:
-    """Level and rule list of x for each NodeKind rule table named
-    ("j_rule", "range_rule"): level, rules, level, rules, ... in the
-    order of tables.
-
-    One fold lists the nodes in post-order with their kinds and labels,
-    so each label is built once and the records of one node share it;
-    each table then replays that list with a stack of levels.
-    """
+def derivation(x: SchemeExpr) -> list[tuple]:
+    """The nodes of x in post-order, one (node, kind, label, child count)
+    row each, from one fold: each label is built once, from its
+    children's labels.  replay() reads the rows with a rule table."""
     nodes: list = []
 
     def visit(node: SchemeExpr, kids: list) -> str:
@@ -615,19 +610,41 @@ def _levels_with_rules(x: SchemeExpr, *tables: str) -> tuple:
         return label
 
     fold_tree(x, visit)
+    return nodes
+
+
+def replay(nodes: list, table: str) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
+    """Columns of the NodeKind rule table named table ("j_rule" or
+    "range_rule") over the rows of derivation(x): each node's rule
+    name, inputs (its children's levels) and level, the root's last.
+    A stack of levels stands in for the tree."""
+    names: list[str] = []
+    inputs: list[tuple[int, ...]] = []
+    levels: list[int] = []
+    stack: list[int] = []
+    for node, kind, _, count in nodes:
+        rule, level_of = getattr(kind, table)
+        split = len(stack) - count
+        args = tuple(stack[split:])
+        del stack[split:]
+        level = level_of(node, args)
+        stack.append(level)
+        names.append(rule)
+        inputs.append(args)
+        levels.append(level)
+    return names, inputs, levels
+
+
+def _levels_with_rules(x: SchemeExpr, *tables: str) -> tuple:
+    """Level and rule list of x for each NodeKind rule table named
+    ("j_rule", "range_rule"): level, rules, level, rules, ... in the
+    order of tables; the records of one node share its label."""
+    nodes = derivation(x)
+    labels = [label for _, _, label, _ in nodes]
     out: list = []
     for table in tables:
-        levels: list[int] = []
-        rules: list[RuleApplication] = []
-        for node, kind, label, count in nodes:
-            rule, level_of = getattr(kind, table)
-            split = len(levels) - count
-            inputs = tuple(levels[split:])
-            del levels[split:]
-            level = level_of(node, inputs)
-            rules.append(RuleApplication(label, rule, inputs, level))
-            levels.append(level)
-        out += (levels[0], tuple(rules))
+        names, inputs, levels = replay(nodes, table)
+        out += (levels[-1], tuple(map(RuleApplication, labels, names, inputs, levels)))
     return tuple(out)
 
 
@@ -991,7 +1008,9 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
     """Decompose a union of n subsets into its 2^n - 1 intersection strata.
 
     The stratum for a nonempty index set J consists of the points lying
-    in every listed set indexed by J and in none of the others.  Under
+    in every listed set indexed by J and in none of the others.  The
+    strata are listed by decreasing size of J, and for each size in the
+    order itertools.combinations(range(n), size) gives the J.  Under
     the declared irreducibility of the intersections, the closure of the
     J-stratum is the full intersection over J, so strata order
     themselves by reverse inclusion of index sets.

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, format stability."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -9,12 +10,14 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import combinatorics_reference as ref
 from helpers import cli_env, parser_trees
 from wittlinear import cli, grammar, ranges, schemes, shifted
+from wittlinear.schemes import Affine, OpenGlue, Product, ProjTimesTorus
+from wittlinear.witt import TwistLabel
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -156,6 +159,17 @@ class TestDeepTrees:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: expression nests too deeply")
         assert "Traceback" not in proc.stderr
+
+    def test_depth_500_exits_2_in_process(self, capsys):
+        # the shallowest past-limit depth the benchmark's deep trees use.
+        # The parser takes two frames per nesting level; one with fewer
+        # would answer this tree with a payload of millions of characters
+        depth = 500
+        text = "open(" * depth + "A^3" + ", A^0)" * depth
+        assert cli.main(["linlevel", text, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: expression nests too deeply")
 
 
 class TestCohomologyCommand:
@@ -555,6 +569,61 @@ class TestJsonWriter:
             assert cli._to_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
 
 
+    # one string that the plain path may not take, beside plain ones
+    ODD = ['q"uote', "back\\slash", "unit\x1fsep", "del\x7f", "\x80", "\U0001f600 face", ""]
+
+    @staticmethod
+    def columns(rows):
+        return cli._Columns(**{key: [row[key] for row in rows] for key in rows[0]})
+
+    @pytest.mark.parametrize("odd", ODD, ids=["quote", "backslash", "x1f", "x7f", "x80",
+                                               "non-bmp", "empty"])
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_str_columns_with_one_string_to_escape(self, odd, where):
+        plain = ["A^1", "open(A^2, A^0)", "P^1@O(-3)*Gm^2", "strat[2]", "x ~ }{ ][ '"]
+        for texts in (plain[:where] + [odd] + plain[where:], plain):
+            rows = [{"node": text, "rule": "r%d" % k, "level": k}
+                    for k, text in enumerate(texts)]
+            for value in (rows, {"k": rows}, [rows, rows]):
+                expected = json.dumps(value, indent=2, sort_keys=True)
+                assert cli._to_json(value) == expected
+            columns = self.columns(rows)
+            assert columns == rows
+            for value, same in ((rows, rows), (columns, rows), ({"k": columns}, {"k": rows}),
+                                ([columns, [rows, columns]], [rows, [rows, rows]])):
+                assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_rows(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True)))
+    def test_columns_write_as_their_rows(self, rows):
+        # the rows with the first row's keys; a row has to hold some key
+        # for the columns to hold it
+        assume(rows[0])
+        rows = [row for row in rows if row.keys() == rows[0].keys()]
+        columns = self.columns(rows)
+        assert columns == rows
+        for value, same in ((columns, rows), ({"a": columns}, {"a": rows}),
+                            ([columns, 1], [rows, 1])):
+            assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    def test_columns_of_no_rows_write_an_empty_list(self):
+        assert cli._to_json({"a": cli._Columns(node=[], level=[])}) == '{\n  "a": []\n}'
+
+    def test_provenance_of_a_twist_to_escape(self, monkeypatch):
+        # the grammar reads only plain twist names; the library takes any
+        twist = TwistLabel('a"b\\c')
+        tree = Product(OpenGlue(ProjTimesTorus(1, 2, twist), Affine(0)), Affine(1))
+        monkeypatch.setattr(cli, "_parse", lambda text: tree)
+        payload, _ = cli.cmd_linlevel(argparse.Namespace(expr=None))
+        jl, j_rules, rl, r_rules = schemes.levels_with_rules(tree)
+        rows = {key: [{"node": r.node, "rule": r.rule, "inputs": list(r.inputs),
+                       "level": r.level} for r in rules]
+                for key, rules in (("j_linear", j_rules), ("range", r_rules))}
+        assert 'a"b\\c' in rows["range"][0]["node"]
+        assert cli._to_json(payload) == json.dumps(
+            dict(payload, provenance=rows), indent=2, sort_keys=True)
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["linlevel", "A^1 * Gm"],
@@ -583,19 +652,23 @@ class TestParserReuse:
 
 
 class TestOnePassPerQuery:
-    """Each query prints each of its trees once and folds each tree once:
-    linlevel and the stratify glue tree take both levels from one
+    """Each query prints each of its trees once and folds each tree once,
+    into one derivation table: linlevel replays both rule tables over
+    it, the stratify glue tree takes both levels from one
     levels_with_rules fold, range and rccm take one range fold, and the
     root label comes from the fold."""
 
     CASES = [
-        (["linlevel", "open(A^2, A^0) * Gm"], {"pretty": 1, "both_fold": 1}),
-        (["range", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
-        (["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"], {"pretty": 1, "range_fold": 1}),
+        (["linlevel", "open(A^2, A^0) * Gm"], {"pretty": 1, "derivation": 1}),
+        (["range", "A^0 * Gm^3", "--smooth", "--i", "0"],
+         {"pretty": 1, "range_fold": 1, "derivation": 1}),
+        (["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"],
+         {"pretty": 1, "range_fold": 1, "derivation": 1}),
         (["cohomology", "Gm^2", "--j", "0"], {"pretty": 1, "describe_at": 1}),
         (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"], {"pretty": 1}),
         # the stratification and its glue tree are two printed trees
-        (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"], {"pretty": 2, "both_fold": 1}),
+        (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
+         {"pretty": 2, "both_fold": 1, "derivation": 1}),
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -620,6 +693,8 @@ class TestOnePassPerQuery:
         count(schemes, "j_linear_level_with_rules", "j_fold")
         count(schemes, "range_level_with_rules", "range_fold")
         count(ranges, "range_level_with_rules", "range_fold")
+        count(schemes, "derivation", "derivation")
+        count(cli, "derivation", "derivation")
         count(schemes.SchemeExpr, "label", "label")
         count(shifted.ShiftedIdealSum, "describe_at", "describe_at")
         assert cli.main(argv + ["--format", fmt]) == 0

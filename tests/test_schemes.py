@@ -22,6 +22,7 @@ from wittlinear import (
     OpenGlue,
     Product,
     ProjTimesTorus,
+    RuleApplication,
     SchemeError,
     Stratified,
     TorusCell,
@@ -715,6 +716,40 @@ class TestDeepTrees:
         assert tree.dim == 1
         assert tree.smooth
         assert as_torus_cell(tree) is None
+
+
+class TestDerivationTable:
+    """derivation() lists the nodes with their labels, and replay() turns
+    it into the columns the record folds zip."""
+
+    @staticmethod
+    def post_order(t):
+        for child in t.children():
+            yield from TestDerivationTable.post_order(child)
+        yield t
+
+    @settings(max_examples=80, deadline=None)
+    @given(parser_trees)
+    def test_rows_are_the_nodes_in_post_order_with_their_labels(self, t):
+        nodes = list(self.post_order(t))
+        rows = schemes.derivation(t)
+        assert len(rows) == len(nodes)
+        assert all(node is expected for (node, _, _, _), expected in zip(rows, nodes))
+        assert [(kind, label, count) for _, kind, label, count in rows] == [
+            (kind_of(n), n.label(), len(n.children())) for n in nodes]
+
+    @settings(max_examples=80, deadline=None)
+    @given(parser_trees)
+    def test_replayed_columns_zip_to_the_rule_lists(self, t):
+        rows = schemes.derivation(t)
+        labels = [label for _, _, label, _ in rows]
+        zipped = []
+        for table in ("j_rule", "range_rule"):
+            names, inputs, levels = schemes.replay(rows, table)
+            zipped += [levels[-1], tuple(map(RuleApplication, labels, names, inputs, levels))]
+        assert tuple(zipped) == levels_with_rules(t)
+        assert tuple(zipped[:2]) == j_linear_level_with_rules(t)
+        assert tuple(zipped[2:]) == range_level_with_rules(t)
 
 
 class TestCombinedFold:
