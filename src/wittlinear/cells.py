@@ -53,6 +53,17 @@ def expected_twist(c: int) -> TwistLabel:
     return TwistLabel.o(c + 1)
 
 
+def check_twist(c: int, twist: TwistLabel) -> None:
+    """Refuse, as hc_proj_times_torus does, a twist on P^c x Gm^e whose
+    degree-c differential is not known to vanish."""
+    if c == 0 and not (twist.is_trivial or twist in (TwistLabel.o(0), TwistLabel.o(1))):
+        raise UnsupportedDifferentialError(
+            "on a point only the trivial twist makes sense, got %s" % twist)
+    if c > 0 and twist != expected_twist(c):
+        raise UnsupportedDifferentialError("differential only known to vanish for twist "
+                                           "%s, got %s" % (expected_twist(c), twist))
+
+
 class CellularComplexSlice(Frozen):
     """The cellular complex around degree c for P^c x Gm^e.
 
@@ -92,11 +103,7 @@ def cellular_complex_proj_times_torus(c: int, e: int,
         )
     if e < 0:
         raise ValueError("torus rank must be non-negative")
-    if twist != expected_twist(c):
-        raise UnsupportedDifferentialError(
-            "differential only known to vanish for twist %s, got %s"
-            % (expected_twist(c), twist)
-        )
+    check_twist(c, twist)
     incoming = ShiftedIdealSum.from_pairs((c - 1 + i, comb(e, i)) for i in range(e + 1))
     current = ShiftedIdealSum.from_pairs((c + i, comb(e, i)) for i in range(e + 1))
     return CellularComplexSlice(c, twist, incoming, current)
@@ -115,9 +122,6 @@ def hc_proj_times_torus(c: int, e: int, twist: TwistLabel) -> ShiftedIdealSum:
     if c < 0 or e < 0:
         raise ValueError("parameters must be non-negative")
     if c == 0:
-        if not (twist.is_trivial or twist == TwistLabel.o(1) or twist == TwistLabel.o(0)):
-            raise UnsupportedDifferentialError(
-                "on a point only the trivial twist makes sense, got %s" % twist
-            )
+        check_twist(c, twist)
         return h0_torus_cells(0, e)
     return cellular_complex_proj_times_torus(c, e, twist).current

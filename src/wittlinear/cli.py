@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .cells import (
     UnsupportedDifferentialError,
+    check_twist,
     h0_torus_cells,
     hc_proj_times_torus,
 )
@@ -44,7 +45,6 @@ from .schemes import (
     as_torus_cell,
     derivation,
     json_point_lists,
-    levels_with_rules,
     replay,
     split_order,
     venn_stratification,
@@ -97,9 +97,9 @@ def _to_json(value) -> str:
     list of dicts it stands for; anything else is a TypeError.  Strings
     go through the json module's C escaper unless a whole str column is
     plain, and a list of only str or only int (no bool) is written by
-    one join.  A list of dicts with one set of str keys (provenance
-    records, venn strata, rccm entries) is gathered into columns and
-    written column by column, see _write_columns.
+    one join.  Provenance records and venn strata come as _Columns and
+    are written column by column, see _write_columns; any other list of
+    dicts (rccm entries) is written item by item.
     """
     out: list[str] = []
     _write_json(value, "", out, {})
@@ -137,26 +137,14 @@ def _joined(value, indent: str) -> str | None:
     return "[\n" + inner + (",\n" + inner).join(map(write, value)) + "\n" + indent + "]"
 
 
-def _write_rows(rows, indent: str, out: list[str], escaped: dict) -> bool:
-    """Append rows, the dicts of a list nested at indent, if they share
-    one non-empty set of str keys, by gathering them into columns; False,
-    with nothing appended, if not."""
-    keys = rows[0].keys()
-    if not keys or not all(type(key) is str for key in keys) or not all(
-            type(row) is dict and row.keys() == keys for row in rows):
-        return False
-    _write_columns({key: [row[key] for row in rows] for key in keys}, indent, out, escaped)
-    return True
-
-
 def _write_columns(columns: dict, indent: str, out: list[str], escaped: dict) -> None:
     """Append the list of dicts that columns, equal-length lists under
     str keys, stands for, nested at indent.
 
-    Each column is turned into texts by _column_texts.  The texts then
-    go to out by reference, row by row between the key heads, which are
-    built once: no row is joined into a string of its own, so no text is
-    copied again before the final join."""
+    Each column is turned into texts by _column_texts, with escaped as
+    its memo.  The texts then go to out by reference, row by row between
+    the key heads, which are built once: no row is joined into a string
+    of its own, so no text is copied again before the final join."""
     if not any(columns.values()):
         out.append("[]")
         return
@@ -179,27 +167,29 @@ def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
     """The texts of the values in column, each nested at indent.
 
     A column of one exact type is typed in one pass and written in one
-    more: str through escaped, int by int.__repr__, and lists or tuples
-    whose items are all str or all int by one join each.  Any other
-    column is written value by value through _write_json.
+    more: str as below, int by int.__repr__, and lists or tuples whose
+    items are all str or all int by one join each.  Any other column is
+    written value by value through _write_json.
 
-    escaped maps id(s) to the text of each str s already written in a
-    str column.  The payload holds every such s until the writer
-    returns, so no id is reused; keying by value would hash every long
-    label.  A str held in many rows (linlevel's two provenance lists
-    share their labels) is so written once per call.  The new strings
-    of a column are tested at once, over their join: if all are plain
-    (see _PLAIN), each is written between quotes as it is, and
-    otherwise each goes through the C escaper."""
+    The strings of a str column are tested at once, over their join: if
+    all are plain (see _PLAIN), each is written between quotes as it
+    is, and otherwise each goes through the C escaper.  escaped maps
+    id(c) to the texts of each str column c already written in this
+    call, so a column held by two _Columns (linlevel's two provenance
+    lists share their labels) is written once.  The payload holds every
+    _Columns list until _to_json returns, so no id is reused.  Only str
+    columns are kept: the texts of a list column hold its indent."""
+    texts = escaped.get(id(column))
+    if texts is not None:
+        return texts
     kinds = set(map(type, column))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is str:
-        fresh = {id(s): s for s in column if id(s) not in escaped}
-        joined = "".join(fresh.values())
+        joined = "".join(column)
         plain = joined.isascii() and not joined.encode().translate(None, _PLAIN)
-        write = '"{}"'.format if plain else encode_basestring_ascii
-        escaped.update(zip(fresh, map(write, fresh.values())))
-        return list(map(escaped.__getitem__, map(id, column)))
+        texts = escaped[id(column)] = list(
+            map('"{}"'.format if plain else encode_basestring_ascii, column))
+        return texts
     if kind is int:
         return list(map(int.__repr__, column))
     if kind is list or kind is tuple:
@@ -248,8 +238,6 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         if text is not None:
             out.append(text)
             return
-        if type(value[0]) is dict and _write_rows(value, indent, out, escaped):
-            return
         inner = indent + "  "
         head = "[\n" + inner
         for item in value:
@@ -279,13 +267,12 @@ def _rules(provenance) -> _Columns:
                     level=[r.level for r in provenance])
 
 
-def _rule_names(provenance) -> str:
-    return ", ".join(r.rule for r in provenance)
-
-
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s nests too deeply" % path) from None
 
 
 def cmd_linlevel(args) -> tuple[dict, list[str]]:
@@ -354,27 +341,33 @@ def cmd_range(args) -> tuple[dict, list[str]]:
         "result": result,
     })
     return payload, text + [
-        "range level: %d  [%s]" % (verdict.level, _rule_names(verdict.provenance)),
+        "range level: %d  [%s]" % (verdict.level,
+                                   ", ".join(r.rule for r in verdict.provenance)),
         result,
     ]
 
 
-def _cell_query(args):
+def _cell_query(args, check):
     """What cohomology and cokernel share, as (degree, sum, shift list,
-    payload, text); the cohomology sum of a cell is never empty."""
+    payload, text); the cohomology sum of a cell is never empty.  Its
+    2^rank units sit at shifts degree to degree + rank, so check(expr,
+    degree, rank) can refuse the query before the sum is built."""
     tree = _parse(args.expr)
     cell = as_torus_cell(tree)
     if cell is not None:
-        degree, total, model = 0, h0_torus_cells(*cell), "torus-cell"
+        degree, rank, model = 0, cell[1], "torus-cell"
     elif isinstance(tree, ProjTimesTorus):
-        degree, model = tree.c, "proj-times-torus"
-        total = hc_proj_times_torus(tree.c, tree.e, tree.twist)
+        degree, rank, model = tree.c, tree.e, "proj-times-torus"
+        check_twist(tree.c, tree.twist)
     else:
         raise UnsupportedQueryError(
             "explicit cohomology is computed only for torus cells and "
             "projective-times-torus leaves"
         )
     expr = pretty(tree)
+    check(expr, degree, rank)
+    total = (h0_torus_cells(*cell) if cell is not None
+             else hc_proj_times_torus(tree.c, tree.e, tree.twist))
     payload = {
         "expr": expr,
         "model": model,
@@ -384,12 +377,13 @@ def _cell_query(args):
     return degree, total, shifts, payload, ["scheme: %s" % expr]
 
 
-def _check_expansion(expr: str, total, exponent: int) -> None:
-    if total.total_multiplicity > MAX_EXPANDED_MULTIPLICITY:
+def _check_expansion(expr: str, rank: int, exponent: int) -> None:
+    # 2^rank > MAX_EXPANDED_MULTIPLICITY, printed as a power if too long
+    if rank >= MAX_EXPANDED_MULTIPLICITY.bit_length():
+        shown = "%d" % (1 << rank) if rank <= MAX_PRINTED_EXPONENT else "2^%d" % rank
         raise UnsupportedQueryError(
-            "%s has total multiplicity %d; cokernel and cohomology --j "
-            "expand at most %d" % (expr, total.total_multiplicity,
-                                   MAX_EXPANDED_MULTIPLICITY)
+            "%s has total multiplicity %s; cokernel and cohomology --j "
+            "expand at most %d" % (expr, shown, MAX_EXPANDED_MULTIPLICITY)
         )
     if exponent > MAX_PRINTED_EXPONENT:
         raise UnsupportedQueryError(
@@ -397,11 +391,11 @@ def _check_expansion(expr: str, total, exponent: int) -> None:
             "print 2-powers up to 2^%d" % (expr, exponent, MAX_PRINTED_EXPONENT)
         )
     digits = _two_power_digits(max(exponent, 0))
-    if total.total_multiplicity * digits > MAX_PRINTED_DIGITS:
+    if (1 << rank) * digits > MAX_PRINTED_DIGITS:
         raise UnsupportedQueryError(
             "%s at these levels prints %d units with 2-powers of up to %d digits; "
             "cokernel and cohomology --j print at most %d digits in all"
-            % (expr, total.total_multiplicity, digits, MAX_PRINTED_DIGITS)
+            % (expr, 1 << rank, digits, MAX_PRINTED_DIGITS)
         )
 
 
@@ -412,13 +406,13 @@ def _two_power_digits(k: int) -> int:
 
 
 def cmd_cohomology(args) -> tuple[dict, list[str]]:
-    degree, total, shifts, payload, text = _cell_query(args)
+    j = args.j
+    degree, total, shifts, payload, text = _cell_query(args, lambda expr, degree, rank: (
+        j is None or _check_expansion(expr, rank, j - degree)))
     payload.update({"degree": degree, "rank": total.total_multiplicity})
     text.append("cohomology in degree %d: shifts %s (rank %d)" % (
         degree, shifts, total.total_multiplicity))
-    j = args.j
     if j is not None:
-        _check_expansion(payload["expr"], total, j - total.summands[0][0])
         verdict = total.step_verdict(j)
         group = total.describe_at(j)
         payload["at_j"] = {
@@ -462,15 +456,16 @@ def cmd_rccm(args) -> tuple[dict, list[str]]:
 
 
 def cmd_cokernel(args) -> tuple[dict, list[str]]:
-    degree, total, shifts, payload, text = _cell_query(args)
-    expr = payload["expr"]
-    if args.i != degree:
-        raise UnsupportedQueryError(
-            "cohomology of %s is computed in degree %d only, got --i %d"
-            % (expr, degree, args.i)
-        )
     j0 = args.j0
-    _check_expansion(expr, total, total.max_shift - j0)
+
+    def check(expr, degree, rank):
+        if args.i != degree:
+            raise UnsupportedQueryError(
+                "cohomology of %s is computed in degree %d only, got --i %d"
+                % (expr, degree, args.i)
+            )
+        _check_expansion(expr, rank, degree + rank - j0)
+    degree, total, shifts, payload, text = _cell_query(args, check)
     j1 = args.j1 if args.j1 is not None else max(total.max_shift, j0)
     coker = total.composite_cokernel(j0, j1)
     stable_exponent = total.cokernel_exponent(j0)
@@ -504,7 +499,7 @@ def cmd_stratify(args) -> tuple[dict, list[str]]:
         glue = tree.to_glue_tree()
         order = split_order(tree.closure_order)
         expr, glue_expr = pretty(tree), pretty(glue)
-        jl, _, rl, _ = levels_with_rules(glue)
+        jl, rl = glue.j_linear_level(), glue.range_level()
         payload = {
             "expr": expr,
             "glue_tree": glue_expr,

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -402,6 +403,39 @@ class TestExponentGuard:
         assert cli.main(["cohomology", "Gm^20", "--j", "14000"]) == 4
         assert capsys.readouterr().err.count("print at most 7340032 digits in all") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cokernel", "Gm^15000", "--i", "0", "--j0", "0"],
+        ["cohomology", "Gm^15000", "--j", "0"],
+        ["cokernel", "P^2 @O(3) * Gm^15000", "--i", "2", "--j0", "2"],
+        ["cohomology", "P^2 @O(3) * Gm^15000", "--j", "2"],
+    ], ids=["cokernel", "cohomology", "cokernel-proj", "cohomology-proj"])
+    def test_a_multiplicity_too_long_to_print_exits_4_at_once(self, monkeypatch, capsys,
+                                                            argv):
+        # these built every binomial of 15000 for about 40 s, then exited
+        # 2 with the interpreter's digit-limit message
+        for name in ("h0_torus_cells", "hc_proj_times_torus"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("cell sum built"))
+        start = time.perf_counter()
+        assert cli.main(argv) == 4
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", (
+            "error: %s has total multiplicity 2^15000; cokernel and cohomology --j "
+            "expand at most 1048576\n" % argv[1]))
+
+    @pytest.mark.parametrize("argv,error", [
+        (["cokernel", "Gm^15000", "--i", "1", "--j0", "0"],
+         "cohomology of Gm^15000 is computed in degree 0 only, got --i 1"),
+        (["cokernel", "P^2 @O(5) * Gm^15000", "--i", "0", "--j0", "2"],
+         "differential only known to vanish for twist O(3), got O(5)"),
+        (["cohomology", "P^0 @O(5) * Gm^15000", "--j", "0"],
+         "on a point only the trivial twist makes sense, got O(5)"),
+    ], ids=["degree-before-size", "twist-before-degree", "twist-before-size"])
+    def test_twist_then_degree_then_size(self, monkeypatch, capsys, argv, error):
+        for name in ("h0_torus_cells", "hc_proj_times_torus"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("cell sum built"))
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", "error: %s\n" % error)
+
     def test_the_digit_cap_is_what_gm20_prints_at_level_0(self):
         # 2^20 units of at most 2^20, which has 7 digits
         assert cli.MAX_PRINTED_DIGITS == 2**20 * len(str(2**20))
@@ -443,6 +477,18 @@ class TestMalformedFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["venn", "stratify"])
+    def test_deep_nesting_exits_2_without_traceback(self, tmp_path, capsys, command):
+        # the decoder raised RecursionError, which printed a traceback and exited 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        argv = ([command, "1"] if command == "venn" else [command]) + ["--file", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: %s nests too deeply\n" % path)
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
 # text with non-ASCII, astral, control and lone surrogate characters
@@ -606,6 +652,43 @@ class TestJsonWriter:
                             ([columns, 1], [rows, 1])):
             assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
 
+    @staticmethod
+    def rows(columns):
+        return [dict(zip(columns.columns, row)) for row in zip(*columns.columns.values())]
+
+    @pytest.mark.parametrize("odd", ["", 'q"uote'], ids=["plain", "to-escape"])
+    def test_a_column_list_held_by_two_columns_objects(self, odd):
+        # one str list and one list column in two _Columns at different
+        # depths: the str texts are kept for the second, the list texts
+        # hold their indent and are not
+        labels = ["A^1", "open(A^1, A^0)", "x" + odd]
+        inputs = [[], [0, 1], [2]]
+        first = cli._Columns(node=labels, inputs=inputs, level=[0, 1, 2])
+        second = cli._Columns(node=labels, inputs=inputs, rule=["r", "s", "t"])
+        value = {"a": first, "b": {"c": [1, second]}}
+        same = {"a": self.rows(first), "b": {"c": [1, self.rows(second)]}}
+        assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    def test_one_columns_object_twice(self):
+        columns = cli._Columns(node=["A^1", 'q"uote'], inputs=[[0], []])
+        value = [columns, {"k": [columns]}]
+        same = [self.rows(columns), {"k": [self.rows(columns)]}]
+        assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("text", ["plain " * 50, 'q"uote\\ ' * 50])
+    def test_a_column_that_repeats_one_string(self, text):
+        columns = cli._Columns(node=[text, text, text], level=[0, 1, 2])
+        assert cli._to_json({"a": columns}) == json.dumps(
+            {"a": self.rows(columns)}, indent=2, sort_keys=True)
+
+    def test_two_lists_of_equal_content(self):
+        # equal lists are distinct columns: each is written, at its own depth
+        first = ["A^1", 'q"uote', "\u00e9"]
+        second = list(first)
+        value = {"a": cli._Columns(node=first), "b": [cli._Columns(node=second)]}
+        same = {"a": [{"node": s} for s in first], "b": [[{"node": s} for s in second]]}
+        assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
     def test_columns_of_no_rows_write_an_empty_list(self):
         assert cli._to_json({"a": cli._Columns(node=[], level=[])}) == '{\n  "a": []\n}'
 
@@ -652,11 +735,11 @@ class TestParserReuse:
 
 
 class TestOnePassPerQuery:
-    """Each query prints each of its trees once and folds each tree once,
-    into one derivation table: linlevel replays both rule tables over
-    it, the stratify glue tree takes both levels from one
-    levels_with_rules fold, range and rccm take one range fold, and the
-    root label comes from the fold."""
+    """Each query prints each of its trees once and folds each tree once
+    per level it reports: linlevel replays both rule tables over one
+    derivation table, range and rccm take one range fold, the stratify
+    glue tree takes each level from one label-free fold, and the root
+    label comes from the fold."""
 
     CASES = [
         (["linlevel", "open(A^2, A^0) * Gm"], {"pretty": 1, "derivation": 1}),
@@ -668,7 +751,7 @@ class TestOnePassPerQuery:
         (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"], {"pretty": 1}),
         # the stratification and its glue tree are two printed trees
         (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
-         {"pretty": 2, "both_fold": 1, "derivation": 1}),
+         {"pretty": 2, "j_level": 1, "range_level": 1}),
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -689,7 +772,8 @@ class TestOnePassPerQuery:
         count(grammar, "pretty", "pretty")
         count(cli, "pretty", "pretty")
         count(schemes, "levels_with_rules", "both_fold")
-        count(cli, "levels_with_rules", "both_fold")
+        count(schemes.SchemeExpr, "j_linear_level", "j_level")
+        count(schemes.SchemeExpr, "range_level", "range_level")
         count(schemes, "j_linear_level_with_rules", "j_fold")
         count(schemes, "range_level_with_rules", "range_fold")
         count(ranges, "range_level_with_rules", "range_fold")
