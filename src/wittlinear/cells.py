@@ -54,8 +54,8 @@ def expected_twist(c: int) -> TwistLabel:
 
 
 def check_twist(c: int, twist: TwistLabel) -> None:
-    """Refuse, as hc_proj_times_torus does, a twist on P^c x Gm^e whose
-    degree-c differential is not known to vanish."""
+    """Refuse a twist on P^c x Gm^e whose degree-c differential is not
+    known to vanish: any but O(c + 1); on a point, any but a trivial one."""
     if c == 0 and not (twist.is_trivial or twist in (TwistLabel.o(0), TwistLabel.o(1))):
         raise UnsupportedDifferentialError(
             "on a point only the trivial twist makes sense, got %s" % twist)
