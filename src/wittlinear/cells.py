@@ -1,17 +1,15 @@
 """Explicit cohomology of torus cells and of P^c x Gm^e.
 
 These are the two families whose cohomology is written down exactly, as
-shifted ideal sums, rather than bounded by range rules.  For a torus
-cell A^n x Gm^d the degree-0 cohomology of the untwisted ideal sheaves
-is a binomial pattern of shifts 0..d (the Kunneth expansion of d copies
-of the two-term Gm answer).  For P^c x Gm^e and the twist O(c+1) the
-cellular complex in degree c has zero incoming differential, so the
-degree-c cohomology is the same binomial pattern shifted by c.
+shifted ideal sums, rather than bounded by range rules.  For P^c x Gm^e
+and the twist O(c+1) the cellular complex in degree c has zero incoming
+differential, so the degree-c cohomology is a binomial pattern of
+shifts c..c+e (the Kunneth expansion of e copies of the two-term Gm
+answer, moved up by c).  A torus cell A^n x Gm^d is the c = 0 row.  Each
+row is built in one pass, each binomial from the one before.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from ._frozen import Frozen, set_field
 from .shifted import ShiftedIdealSum
@@ -32,11 +30,11 @@ class UnsupportedDifferentialError(ValueError):
 
 
 def h0_torus_cells(n: int, d: int) -> ShiftedIdealSum:
-    """Degree-0 cohomology of A^n x Gm^d as a shifted ideal sum.
+    """Degree-0 cohomology of A^n x Gm^d: the c = 0 row of hc_proj_times_torus.
 
     The affine factor contributes nothing; each torus factor tensors the
     answer with (shift 0) + (shift 1), so the shifts follow the binomial
-    distribution on 0..d.
+    distribution on 0..d, each binomial built from the one before.
 
     >>> h0_torus_cells(0, 1).summands
     ((0, 1), (1, 1))
@@ -45,7 +43,7 @@ def h0_torus_cells(n: int, d: int) -> ShiftedIdealSum:
     """
     if n < 0 or d < 0:
         raise ValueError("cell parameters must be non-negative")
-    return ShiftedIdealSum.from_pairs((i, comb(d, i)) for i in range(d + 1))
+    return hc_proj_times_torus(0, d, TwistLabel.trivial())
 
 
 def expected_twist(c: int) -> TwistLabel:
@@ -103,25 +101,26 @@ def cellular_complex_proj_times_torus(c: int, e: int,
         )
     if e < 0:
         raise ValueError("torus rank must be non-negative")
-    check_twist(c, twist)
-    incoming = ShiftedIdealSum.from_pairs((c - 1 + i, comb(e, i)) for i in range(e + 1))
-    current = ShiftedIdealSum.from_pairs((c + i, comb(e, i)) for i in range(e + 1))
+    current = hc_proj_times_torus(c, e, twist)
+    incoming = ShiftedIdealSum.from_pairs((s - 1, m) for s, m in current.summands)
     return CellularComplexSlice(c, twist, incoming, current)
 
 
 def hc_proj_times_torus(c: int, e: int, twist: TwistLabel) -> ShiftedIdealSum:
-    """Degree-c cohomology of P^c x Gm^e with the twist O(c+1).
+    """Degree-c cohomology of P^c x Gm^e with the twist O(c+1): C(e, i)
+    at shift c + i, each binomial built from the one before.
 
-    For c = 0 the projective factor is a point and the twist is
-    immaterial (any label denoting the trivial bundle on a point is
-    accepted); the answer is the torus-cell sum.
+    For c = 0 the projective factor is a point, any label for the trivial
+    bundle on a point is accepted, and this is the torus-cell row.
 
     >>> hc_proj_times_torus(2, 3, TwistLabel.o(3)).summands
     ((2, 1), (3, 3), (4, 3), (5, 1))
     """
     if c < 0 or e < 0:
         raise ValueError("parameters must be non-negative")
-    if c == 0:
-        check_twist(c, twist)
-        return h0_torus_cells(0, e)
-    return cellular_complex_proj_times_torus(c, e, twist).current
+    check_twist(c, twist)
+    pairs, m = [], 1
+    for i in range(e + 1):
+        pairs.append((c + i, m))
+        m = m * (e - i) // (i + 1)
+    return ShiftedIdealSum.from_pairs(pairs)

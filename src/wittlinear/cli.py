@@ -25,10 +25,9 @@ from . import __version__
 from .cells import (
     UnsupportedDifferentialError,
     check_twist,
-    h0_torus_cells,
     hc_proj_times_torus,
 )
-from .grammar import ParseError, parse_expr, pretty
+from .grammar import parse_expr, pretty
 from .ranges import (
     CapabilityError,
     SmoothnessRequiredError,
@@ -40,7 +39,6 @@ from .schemes import (
     FinitePosetRealization,
     InternalConsistencyError,
     ProjTimesTorus,
-    SchemeError,
     Stratified,
     as_torus_cell,
     derivation,
@@ -50,7 +48,7 @@ from .schemes import (
     venn_stratification,
     SCHEMA_VERSION,
 )
-from .witt import FINITE_FIELD, REAL, InvalidFormError
+from .witt import FINITE_FIELD, REAL, TwistLabel
 
 __all__ = ["main"]
 
@@ -355,10 +353,10 @@ def _cell_query(args, check):
     tree = _parse(args.expr)
     cell = as_torus_cell(tree)
     if cell is not None:
-        degree, rank, model = 0, cell[1], "torus-cell"
+        degree, rank, twist, model = 0, cell[1], TwistLabel.trivial(), "torus-cell"
     elif isinstance(tree, ProjTimesTorus):
-        degree, rank, model = tree.c, tree.e, "proj-times-torus"
-        check_twist(tree.c, tree.twist)
+        degree, rank, twist, model = tree.c, tree.e, tree.twist, "proj-times-torus"
+        check_twist(degree, twist)
     else:
         raise UnsupportedQueryError(
             "explicit cohomology is computed only for torus cells and "
@@ -366,8 +364,7 @@ def _cell_query(args, check):
         )
     expr = pretty(tree)
     check(expr, degree, rank)
-    total = (h0_torus_cells(*cell) if cell is not None
-             else hc_proj_times_torus(tree.c, tree.e, tree.twist))
+    total = hc_proj_times_torus(degree, rank, twist)
     payload = {
         "expr": expr,
         "model": model,
@@ -648,8 +645,7 @@ def main(argv=None) -> int:
         error, code = e, 3
     except InternalConsistencyError as e:
         error, code = e, 5
-    except (ParseError, SchemeError, InvalidFormError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         error, code = e, 2
     else:
         return 0

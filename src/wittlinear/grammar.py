@@ -99,6 +99,7 @@ _TOKEN = re.compile(r"[ \t\r\n]*(-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\^*@(),;<])")
 # before no digit
 _BAD = re.compile(r"[^ \t\r\n0-9A-Za-z_^*@(),;<-]|-(?![0-9])")
 _INT_START = frozenset("-0123456789")
+_GLUES = {"open": OpenGlue, "closed": ClosedGlue}
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
@@ -182,20 +183,14 @@ class _Parser:
                 self.pos += 1
                 twist = self.parse_twist()
             return ProjTimesTorus(c, 0, twist)
-        if name == "open":
+        glue = _GLUES.get(name)
+        if glue is not None:
             self.expect("(", "'('")
-            ambient = self.parse_expr()
+            first = self.parse_expr()
             self.expect(",", "','")
-            closed = self.parse_expr()
+            second = self.parse_expr()
             self.expect(")", "')'")
-            return OpenGlue(ambient, closed)
-        if name == "closed":
-            self.expect("(", "'('")
-            closed = self.parse_expr()
-            self.expect(",", "','")
-            open_part = self.parse_expr()
-            self.expect(")", "')'")
-            return ClosedGlue(closed, open_part)
+            return glue(first, second)
         if name == "strat":
             return self.parse_strat()
         if name == "empty":

@@ -35,7 +35,6 @@ from collections.abc import Callable
 from enum import Enum
 
 from ._frozen import Frozen, replace, set_field
-from .cells import h0_torus_cells
 from .schemes import (
     Affine,
     OpenGlue,
@@ -181,17 +180,14 @@ def _graded_cokernel_points(x: SchemeExpr) -> frozenset:
 
     Only trees structurally recognizable as torus cells have their
     degree-0 cohomology written down exactly; the certificate points are
-    read off its shifted sum (cokernel exactly when some summand's grade
-    jumps from trivial to order 2).
+    read off the shifts of its summands (cokernel exactly when some
+    summand's grade jumps from trivial to order 2).
     """
     cell = as_torus_cell(x)
     if cell is None:
         return frozenset()
-    total = h0_torus_cells(*cell)
-    points = set()
-    for shift, _ in total.summands:
-        points.add((0, shift - 1))
-    return frozenset(points)
+    # h0_torus_cells(n, d) has a summand at every shift 0..d
+    return frozenset((0, s - 1) for s in range(cell[1] + 1))
 
 
 def sheaf_range(x: SchemeExpr, field: FieldCapability = REAL) -> SheafRangeVerdict:
@@ -363,9 +359,8 @@ def _graded_step_iso(z: SchemeExpr, a: int, b: int,
             n, d = cell
             if a != n + d:
                 return TLinearAnswer.ISO
-            grade = b + n + d
-            obstructed = any(grade - s == -1 for s, _ in h0_torus_cells(n, d).summands)
-            return TLinearAnswer.NOT_ISO if obstructed else TLinearAnswer.ISO
+            # h0_torus_cells(n, d) has a summand at every shift 0..d
+            return TLinearAnswer.NOT_ISO if 0 <= b + n + d + 1 <= d else TLinearAnswer.ISO
         if not (isinstance(z, OpenGlue) and isinstance(z.ambient, Affine)) or a + b < 0:
             return TLinearAnswer.UNKNOWN
         if a + b == 0:

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
 from snf_oracle import snf_cokernel
+from wittlinear import cli
 from wittlinear import (
     CellularComplexSlice,
     IdealLevel,
@@ -146,3 +148,24 @@ class TestHcProjTimesTorus:
             assert [int(o) for o in got.composite_cokernel(c, top).torsion_orders] \
                 == sorted(got.composite_cokernel(c, top).torsion_orders)
             assert got.composite_cokernel(c, top).exponent == 2**e
+
+
+class TestOneRowBuilder:
+    # math.comb is the reference the row built binomial by binomial meets
+    def test_rows_equal_math_comb(self):
+        for d in [*range(65), 300, 1000]:
+            row = tuple((i, math.comb(d, i)) for i in range(d + 1))
+            assert h0_torus_cells(0, d).summands == row, d
+            for c in (0, 1, 3):
+                shifted = tuple((c + s, m) for s, m in row)
+                assert hc_proj_times_torus(c, d, expected_twist(c)).summands == shifted, (c, d)
+                if c:
+                    cx = cellular_complex_proj_times_torus(c, d, expected_twist(c))
+                    assert cx.incoming.summands == tuple((s - 1, m) for s, m in shifted)
+                    assert cx.current.summands == shifted
+
+    def test_a_cohomology_of_rank_6000_answers_within_a_second(self, capsys):
+        # it built two math.comb rows of 6000 and kept one, for about 8 s
+        start = time.perf_counter()
+        assert cli.main(["cohomology", "P^2 @O(3) * Gm^6000"]) == 0
+        assert time.perf_counter() - start < 1

@@ -3,10 +3,11 @@ answers or exits with a documented code (0, 2, 3, 4 or 5), and raises
 nothing else.  argparse's own exits, SystemExit 0 and 2, count as exits.
 
 Mutations drop, duplicate or swap tokens, put huge integers in option
-values, unbalance the parentheses of an expression and point --file at
-malformed JSON.  None of them enlarges a torus rank in an expression:
-cohomology without --j expands every binomial of the rank and has no
-size limit.
+values, set an integer after a "^" in an expression to one in
+1000..5000, unbalance the parentheses of an expression and point --file
+at malformed JSON.  The rank mutation is not drawn for cohomology
+without --j, which expands every binomial of the rank and has no size
+limit; everywhere else a rank of thousands answers in milliseconds.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,8 +68,12 @@ def mutate(data, argv: list[str], files: list[str]) -> list[str]:
     # every expression in the matrix holds a "^" or a "("
     exprs = [k for k in range(1, len(argv)) if "^" in argv[k] or "(" in argv[k]]
     files_at = [k for k in range(1, len(argv)) if argv[k - 1] == "--file"]
+    ranks = [(k, m.span()) for k in exprs for m in re.finditer(r"(?<=\^)[0-9]+", argv[k])]
+    if "cohomology" in argv and "--j" not in argv:
+        ranks = []
     kinds = ["drop", "duplicate", "swap"] if argv else []
     kinds += ["huge"] * bool(ints) + ["paren"] * bool(exprs) + ["file"] * bool(files_at)
+    kinds += ["rank"] * bool(ranks)
     if not kinds:
         return argv
     kind = data.draw(st.sampled_from(kinds))
@@ -82,6 +88,9 @@ def mutate(data, argv: list[str], files: list[str]) -> list[str]:
             argv[k], argv[m] = argv[m], argv[k]
     elif kind == "huge":
         argv[data.draw(st.sampled_from(ints))] = data.draw(HUGE)
+    elif kind == "rank":
+        k, (i, j) = data.draw(st.sampled_from(ranks))
+        argv[k] = argv[k][:i] + str(data.draw(st.integers(1000, 5000))) + argv[k][j:]
     elif kind == "paren":
         k = data.draw(st.sampled_from(exprs))
         at = data.draw(st.integers(0, len(argv[k])))

@@ -35,6 +35,21 @@ def test_no_unused_from_imports(name):
     assert not unused, unused
 
 
+def test_ranges_imports_nothing_from_cells():
+    # ranges reads a torus cell's shifts off its shape; it builds no cell sum
+    with open(os.path.join(PACKAGE, "ranges.py")) as fh:
+        tree = ast.parse(fh.read(), "ranges.py")
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            if node.module is None:  # from . import cells
+                parts.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            parts.update(p for alias in node.names for p in alias.name.split("."))
+    assert "cells" not in parts
+
+
 @pytest.mark.parametrize("name", MODULES + ["__init__.py"])
 def test_no_orphaned_private_names(name):
     # a module-level _name that nothing in its module reads is dead code

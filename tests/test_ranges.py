@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
 from helpers import random_tree, replay_provenance
+from wittlinear import cli, ranges
 from wittlinear import (
     FINITE_FIELD,
     Affine,
@@ -335,13 +337,42 @@ class TestVanishingOracle:
 class TestCoincidenceWithExplicitComputation:
     def test_torus_cell_thresholds_match_step_verdicts(self):
         for n in (0, 2):
-            for d in range(0, 11):
+            for d in range(0, 41):
                 verdict = sheaf_range(TorusCell(n, d))
                 total = h0_torus_cells(n, d)
-                for j in range(-2, d + 4):
-                    assert verdict.is_iso(0, j) == total.step_verdict(j).is_iso
-                    if not verdict.is_iso(0, j) and j >= -1:
+                for j in range(-3, d + 4):
+                    # the step is onto once no summand is still below level 0
+                    iso = all(s <= j for s, _ in total.summands)
+                    if d <= 10:  # step_verdict lists 2^d factors of Z/2
+                        assert iso == total.step_verdict(j).is_iso
+                    assert verdict.is_iso(0, j) == iso
+                    if not iso and j >= -1:
                         assert verdict.classify(0, j) == "NOT_SURJECTIVE"
+
+    def test_torus_cell_certificates_and_graded_steps_read_off_the_summands(self):
+        for n in (0, 2):
+            for d in range(0, 41):
+                cell, total = TorusCell(n, d), h0_torus_cells(n, d)
+                assert sheaf_range(cell).not_surjective == frozenset(
+                    (0, s - 1) for s, _ in total.summands)
+                ambient = OpenGlue(Affine(n + d + 1), cell)
+                for j in range(-3, d + 4):
+                    # a summand of shift s obstructs exactly at grade j = s - 1
+                    obstructed = any(s == j + 1 for s, _ in total.summands)
+                    expected = TLinearAnswer.NOT_ISO if obstructed else TLinearAnswer.ISO
+                    assert ranges._graded_step_iso(cell, n + d, j - n - d, None) is expected
+                    if j >= 0:  # above the diagonal the open piece descends to the cell
+                        assert t_linear_verdict(ambient, n + d + 1, j - n - d) is expected
+
+    @pytest.mark.parametrize("argv", [
+        ["rccm", "Gm^6000", "--i", "0"],
+        ["range", "Gm^6000", "--i", "0", "--format", "json"],
+    ], ids=["rccm", "range"])
+    def test_a_torus_cell_of_rank_6000_answers_within_a_second(self, capsys, argv):
+        # these built a math.comb row of 6000 to read its shifts, for about 3 s
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 1
 
     def test_gm_glue_range_level(self):
         assert GM_TREE.range_level() == 1
