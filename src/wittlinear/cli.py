@@ -92,12 +92,10 @@ def _to_json(value) -> str:
 
     Only the types a v1 payload holds are written: dict with str keys,
     list, tuple, str, int, bool and None, and _Columns, written as the
-    list of dicts it stands for; anything else is a TypeError.  Strings
-    go through the json module's C escaper unless a whole str column is
-    plain, and a list of only str or only int (no bool) is written by
-    one join.  Provenance records and venn strata come as _Columns and
-    are written column by column, see _write_columns; any other list of
-    dicts (rccm entries) is written item by item.
+    list of dicts it stands for; anything else is a TypeError.  A list,
+    or one column of a _Columns, is turned into the texts of its items
+    by _column_texts; provenance records and venn strata come as
+    _Columns and go to the output row by row, see _write_columns.
     """
     out: list[str] = []
     _write_json(value, "", out, {})
@@ -122,17 +120,6 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 # the bytes a str written by json.dumps keeps as they are: printable
 # ASCII but '"' and '\'
 _PLAIN = bytes(range(0x20, 0x7f)).translate(None, b'"\\')
-
-
-def _joined(value, indent: str) -> str | None:
-    """The text of value if it is a non-empty list or tuple of only str
-    or only int, nested at indent; None otherwise."""
-    kinds = set(map(type, value))
-    write = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if write is None:
-        return None
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(map(write, value)) + "\n" + indent + "]"
 
 
 def _write_columns(columns: dict, indent: str, out: list[str], escaped: dict) -> None:
@@ -162,7 +149,8 @@ def _write_columns(columns: dict, indent: str, out: list[str], escaped: dict) ->
 
 
 def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
-    """The texts of the values in column, each nested at indent.
+    """The texts of the values in column, a list, or one column of a
+    _Columns, each nested at indent.
 
     A column of one exact type is typed in one pass and written in one
     more: str as below, int by int.__repr__, and lists or tuples whose
@@ -172,11 +160,11 @@ def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
     The strings of a str column are tested at once, over their join: if
     all are plain (see _PLAIN), each is written between quotes as it
     is, and otherwise each goes through the C escaper.  escaped maps
-    id(c) to the texts of each str column c already written in this
-    call, so a column held by two _Columns (linlevel's two provenance
+    id(c) to the texts of every str list c already written in this
+    call, so a list held in two places (linlevel's two provenance
     lists share their labels) is written once.  The payload holds every
-    _Columns list until _to_json returns, so no id is reused.  Only str
-    columns are kept: the texts of a list column hold its indent."""
+    list until _to_json returns, so no id is reused.  Only str lists
+    are kept: the texts of a list of lists hold its indent."""
     texts = escaped.get(id(column))
     if texts is not None:
         return texts
@@ -232,17 +220,9 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         if not value:
             out.append("[]")
             return
-        text = _joined(value, indent)
-        if text is not None:
-            out.append(text)
-            return
         inner = indent + "  "
-        head = "[\n" + inner
-        for item in value:
-            out.append(head)
-            _write_json(item, inner, out, escaped)
-            head = ",\n" + inner
-        out.append("\n" + indent + "]")
+        out.append("[\n" + inner + (",\n" + inner).join(_column_texts(value, inner, escaped))
+                   + "\n" + indent + "]")
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif type(value) is _Columns:

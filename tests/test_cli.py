@@ -542,6 +542,35 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, value):
         assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES, st.data())
+    def test_matches_json_dumps_with_shared_lists_and_tuples(self, value, data):
+        def retyped(v):
+            # v with some of its lists turned into tuples
+            if isinstance(v, dict):
+                return {k: retyped(item) for k, item in v.items()}
+            if isinstance(v, list):
+                items = [retyped(item) for item in v]
+                return tuple(items) if data.draw(st.booleans()) else items
+            return v
+
+        def lists(v):
+            if isinstance(v, dict):
+                return [inner for item in v.values() for inner in lists(item)]
+            if isinstance(v, (list, tuple)):
+                return [v] + [inner for item in v for inner in lists(item)]
+            return []
+
+        value = retyped(value)
+        held = lists(value)
+        if held and data.draw(st.booleans()):
+            # one list object at its own place and again, deeper or not
+            shared = data.draw(st.sampled_from(held))
+            for _ in range(data.draw(st.integers(0, 3))):
+                shared = [shared]
+            value = data.draw(st.sampled_from([[value, shared], {"a": value, "b": shared}]))
+        assert cli._to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
     @settings(max_examples=150, deadline=None)
     @given(json_rows(), st.sampled_from(["top", "in-dict", "in-list"]))
     def test_rows_match_json_dumps(self, rows, where):
@@ -667,6 +696,22 @@ class TestJsonWriter:
         second = cli._Columns(node=labels, inputs=inputs, rule=["r", "s", "t"])
         value = {"a": first, "b": {"c": [1, second]}}
         same = {"a": self.rows(first), "b": {"c": [1, self.rows(second)]}}
+        assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("first", range(4), ids=["depth-1", "depth-3", "tuple", "column"])
+    def test_one_str_list_in_four_places(self, first):
+        # one str list, with one string to escape, at depth 1, at depth 3
+        # inside a list, as a tuple copy and as a column, each written
+        # first in turn; beside it lists of lists of lists and int tuples,
+        # at two depths each, whose texts hold their indent
+        labels = ["A^1", 'q"uote', "open(A^1, A^0)"]
+        columns = cli._Columns(node=labels, level=[0, 1, 2])
+        places = [labels, [[labels]], tuple(labels), columns]
+        nested = [[["x", 'q"uote'], []], [[1, 2], [3]], []]
+        pairs = [(0, 1), (2,), ()]
+        value = dict(zip("abcd", places[first:] + places[:first]),
+                     e=nested, f=pairs, g=[pairs, nested])
+        same = {key: self.rows(v) if v is columns else v for key, v in value.items()}
         assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
 
     def test_one_columns_object_twice(self):

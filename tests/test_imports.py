@@ -1,6 +1,5 @@
-"""What the package imports: every name a library module imports with
-"from ... import" is used in it, and the command line loads no heavy
-stdlib module."""
+"""What the package imports: every name a library module imports is
+used in it, and the command line loads no heavy stdlib module."""
 from __future__ import annotations
 
 import ast
@@ -31,6 +30,23 @@ def test_no_unused_from_imports(name):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__"
         for alias in node.names
         if (alias.asname or alias.name) not in used
+    ]
+    assert not unused, unused
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_plain_imports(name):
+    # import a.b binds a; import a.b as c binds c
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read(), name)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = [
+        "line %d: %s" % (node.lineno, alias.asname or alias.name.partition(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if (alias.asname or alias.name.partition(".")[0]) not in read
     ]
     assert not unused, unused
 
