@@ -9,7 +9,7 @@ venn decomposes a union of sets.
 Exit codes by error class: 2 for unparseable or invalid input, 3 for a
 missing capability (base field, smoothness, required shape), 4 for
 queries outside the computed cases, 5 for internal consistency
-failures.
+failures; 1, with no message, when stdout is closed before the end.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .schemes import (
     Stratified,
     as_torus_cell,
     derivation,
+    fold_rows,
     json_point_lists,
     replay,
     split_order,
@@ -255,11 +256,12 @@ def _read_json(path: str):
 
 def cmd_linlevel(args) -> tuple[dict, list[str]]:
     tree = _parse(args.expr)
-    expr = pretty(tree)
-    nodes = derivation(tree)
-    labels = [label for _, _, label, _ in nodes]
-    j_names, j_inputs, j_levels = replay(nodes, "j_rule")
-    r_names, r_inputs, r_levels = replay(nodes, "range_rule")
+    rows = derivation(tree)
+    labels: list[str] = []
+    fold_rows(rows, "label", labels)
+    expr = fold_rows(rows, "text")
+    j_names, j_inputs, j_levels = replay(rows, "j")
+    r_names, r_inputs, r_levels = replay(rows, "range")
     jl, rl = j_levels[-1], r_levels[-1]
     payload = {
         "expr": expr,
@@ -473,8 +475,8 @@ def cmd_stratify(args) -> tuple[dict, list[str]]:
         tree = _parse(args.expr)
         if not isinstance(tree, Stratified):
             raise UnsupportedQueryError("stratify needs a strat(...) expression")
-        glue = tree.to_glue_tree()
         order = split_order(tree.closure_order)
+        glue = tree.to_glue_tree(order)
         expr, glue_expr = pretty(tree), pretty(glue)
         jl, rl = glue.j_linear_level(), glue.range_level()
         payload = {
@@ -625,6 +627,9 @@ def main(argv=None) -> int:
         error, code = e, 3
     except InternalConsistencyError as e:
         error, code = e, 5
+    except BrokenPipeError:
+        # the reader closed stdout (as head does): no input was at fault
+        return 1
     except (ValueError, KeyError, OSError) as e:
         error, code = e, 2
     else:

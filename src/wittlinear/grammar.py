@@ -51,8 +51,8 @@ recursion limit (a few hundred levels); deeper input is a ParseError
 ("expression nests too deeply").  The limit stays because what lies
 past it cannot be printed safely yet: v1 provenance repeats each
 subtree's label at every node, so its size grows with the square of
-the depth.  pretty() and the folds in schemes walk the tree
-iteratively, so they take trees of any depth.
+the depth.  pretty() reads the text column of schemes.derivation(),
+which walks the tree iteratively, so it takes trees of any depth.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ from .schemes import (
     SchemeExpr,
     Stratified,
     TorusCell,
-    fold_tree,
-    kind_of,
+    derivation,
+    fold_rows,
 )
 from .witt import TwistLabel
 
@@ -262,4 +262,4 @@ def parse_expr(text: str) -> SchemeExpr:
 
 def pretty(x: SchemeExpr) -> str:
     """Canonical text form; parse(pretty(t)) == t for parser-image trees."""
-    return fold_tree(x, lambda t, kids: kind_of(t).text(t, kids))
+    return fold_rows(derivation(x), "text")

@@ -125,7 +125,11 @@ class SchemeExpr(Frozen):
         return True
 
     def __hash__(self) -> int:
-        return fold_tree(self, lambda t, kids: hash((t._data(t), *kids)))
+        # equal trees list the same data in the same breadth-first order
+        nodes = [self]
+        for node in nodes:
+            nodes.extend(node.children())
+        return hash(tuple(t._data(t) for t in nodes))
 
     @property
     def smooth(self) -> bool:
@@ -141,15 +145,15 @@ class SchemeExpr(Frozen):
 
     def label(self) -> str:
         """Compact form naming this node in provenance records."""
-        return fold_tree(self, lambda t, kids: kind_of(t).label(t, kids))
+        return fold_rows(derivation(self), "label")
 
     def j_linear_level(self) -> int:
-        """The level of j_linear_level_with_rules, folded without labels."""
-        return fold_tree(self, lambda t, lv: kind_of(t).j_rule[1](t, lv))
+        """The level of j_linear_level_with_rules, with no label or rule."""
+        return fold_rows(derivation(self), "j_level")
 
     def range_level(self) -> int:
-        """The level of range_level_with_rules, folded without labels."""
-        return fold_tree(self, lambda t, lv: kind_of(t).range_rule[1](t, lv))
+        """The level of range_level_with_rules, with no label or rule."""
+        return fold_rows(derivation(self), "range_level")
 
 
 class Empty(SchemeExpr):
@@ -390,14 +394,14 @@ class Stratified(SchemeExpr):
     def children(self) -> tuple[SchemeExpr, ...]:
         return self.strata
 
-    def to_glue_tree(self) -> SchemeExpr:
+    def to_glue_tree(self, order: tuple[int, ...] | None = None) -> SchemeExpr:
         """Rewrite as nested closed decompositions.
 
-        Repeatedly split off a stratum that is closed in what remains
-        (a minimal one in the closure order; lowest index on ties).
-        With a single stratum the stratification is the stratum.
+        Split off one stratum at a time, closed in what remains, in
+        order, or by default in split_order(closure_order); with a
+        single stratum the stratification is the stratum.
         """
-        order = split_order(self.closure_order)
+        order = order or split_order(self.closure_order)
         tree = self.strata[order[-1]]
         for idx in reversed(order[:-1]):
             tree = ClosedGlue(self.strata[idx], tree)
@@ -431,14 +435,15 @@ _ORDER = (lambda o: [list(p) for p in o.strict_pairs()], list,
 class NodeKind(Frozen):
     """Everything that differs between node kinds, in one place.
 
-    name and fields give the JSON form: each field is (JSON key,
-    attribute, codec).  The two printers take (node, the children's
-    printed forms): label gives the compact form used in provenance,
-    text the canonical expression that grammar.pretty() prints and
-    grammar.parse_expr() reads back (the label's form where not given).
-    j_rule and range_rule are (rule name, level(node, child_levels))
-    pairs for the two folds.  cell(node) is (n, d) for the leaf kinds
-    that are structurally A^n x Gm^d.
+    Each column that fold_rows() reads by name maps (node, the
+    children's values) to the node's value.  label gives the compact
+    form used in provenance, text the canonical expression that
+    grammar.pretty() prints and grammar.parse_expr() reads back (the
+    label's form where not given).  j_rule and range_rule are (rule
+    name, level function) pairs, and j_level and range_level their level
+    functions.  to_json and from_json write and read the JSON form of
+    fields, (JSON key, attribute, codec) triples.  cell(node) is (n, d)
+    for the leaf kinds that are structurally A^n x Gm^d.
     """
 
     _fields = ("cls", "name", "fields", "label", "j_rule", "range_rule", "text", "cell")
@@ -455,8 +460,37 @@ class NodeKind(Frozen):
         set_field(self, "label", label)
         set_field(self, "j_rule", j_rule)
         set_field(self, "range_rule", range_rule)
+        set_field(self, "j_level", j_rule[1])
+        set_field(self, "range_level", range_rule[1])
         set_field(self, "text", label if text is None else text)
         set_field(self, "cell", cell)
+
+    def to_json(self, x: SchemeExpr, kids: tuple) -> dict:
+        d: dict = {"kind": self.name}
+        rest = iter(kids)
+        for key, attr, codec in self.fields:
+            if codec is _CHILD:
+                d[key] = next(rest)
+            elif codec is _CHILDREN:
+                d[key] = list(rest)
+            else:
+                d[key] = codec[0](getattr(x, attr))
+        if x.smooth_flag is not None:
+            d["smooth"] = x.smooth_flag
+        return d
+
+    def from_json(self, d: dict, kids: tuple) -> SchemeExpr:
+        args: dict = {}
+        rest = iter(kids)
+        for key, attr, codec in self.fields:
+            if codec is _CHILD:
+                args[attr] = next(rest)
+            elif codec is _CHILDREN:
+                args[attr] = tuple(rest)
+            else:
+                args[attr] = codec[2](_json_field(d, key, codec[1]), kids)
+        smooth = _json_field(d, "smooth", bool) if "smooth" in d else None
+        return self.cls(**args, smooth_flag=smooth)
 
 
 # Both printers spell the leaves the same way; label drops the spaces
@@ -570,93 +604,75 @@ def kind_of(x: SchemeExpr) -> NodeKind:
     raise SchemeError("unknown scheme node %r" % (x,))
 
 
-def fold_tree(root, visit: Callable, children: Callable = lambda x: x.children()):
-    """Post-order fold over a tree, with an explicit stack.
-
-    visit(node, values) receives the values already computed for the
-    node's children, in children() order, and returns the node's value.
-    Nodes are visited in the order a recursive fold would visit them,
-    so rule lists come out the same, and depth is bounded by memory
-    only.
-    """
-    # pre-order with the children pushed in order, so the last child
-    # comes first; read backwards, that is the recursive post-order
-    order: list = []
-    stack: list = [root]
+def derivation(x, kind: Callable = kind_of, children: Callable | None = None) -> list[tuple]:
+    """The post-order table of the tree x, from one walk with an explicit
+    stack: (node, kind(node), child count) rows, no label or level.  The
+    JSON decoder passes its own kind and children, to walk dicts."""
+    rows: list = []
+    stack: list = [x]
     while stack:
         node = stack.pop()
-        kids = children(node)
-        order.append((node, len(kids)))
+        kids = node.children() if children is None else children(node)
+        rows.append((node, kind(node), len(kids)))
         stack.extend(kids)
-    values: list = []
-    for node, count in reversed(order):
-        split = len(values) - count
-        args = values[split:]
-        del values[split:]
-        values.append(visit(node, args))
-    return values[0]
+    # pre-order, last child first: reversed, the recursive post-order
+    rows.reverse()
+    return rows
 
 
-def derivation(x: SchemeExpr) -> list[tuple]:
-    """The nodes of x in post-order, one (node, kind, label, child count)
-    row each, from one fold: each label is built once, from its
-    children's labels.  replay() reads the rows with a rule table."""
-    nodes: list = []
+def fold_rows(rows: list, column: str, values: list | None = None,
+              inputs: list | None = None):
+    """The root's value of the NodeKind column named column over the
+    rows of derivation(): getattr(kind, column)(node, the tuple of its
+    children's values) at each row, with a stack of values for the tree.
+    Each value, and its children's values, also go to values and inputs."""
+    stack: list = []
+    for node, kind, count in rows:
+        if count:
+            kids = tuple(stack[-count:])
+            del stack[-count:]
+        else:
+            kids = ()
+        value = getattr(kind, column)(node, kids)
+        stack.append(value)
+        if values is not None:
+            values.append(value)
+        if inputs is not None:
+            inputs.append(kids)
+    return stack[0]
 
-    def visit(node: SchemeExpr, kids: list) -> str:
-        kind = kind_of(node)
-        label = kind.label(node, kids)
-        nodes.append((node, kind, label, len(kids)))
-        return label
 
-    fold_tree(x, visit)
-    return nodes
-
-
-def replay(nodes: list, table: str) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
-    """Columns of the NodeKind rule table named table ("j_rule" or
-    "range_rule") over the rows of derivation(x): each node's rule
-    name, inputs (its children's levels) and level, the root's last.
-    A stack of levels stands in for the tree."""
-    names: list[str] = []
-    inputs: list[tuple[int, ...]] = []
-    levels: list[int] = []
-    stack: list[int] = []
-    for node, kind, _, count in nodes:
-        rule, level_of = getattr(kind, table)
-        split = len(stack) - count
-        args = tuple(stack[split:])
-        del stack[split:]
-        level = level_of(node, args)
-        stack.append(level)
-        names.append(rule)
-        inputs.append(args)
-        levels.append(level)
-    return names, inputs, levels
+def replay(rows: list, table: str) -> tuple[list[str], list[tuple[int, ...]], list[int]]:
+    """Rule names, inputs (children's levels) and levels of the rule
+    table named table ("j" or "range") over the rows of derivation()."""
+    rule, inputs, levels = table + "_rule", [], []
+    fold_rows(rows, table + "_level", levels, inputs)
+    return [getattr(kind, rule)[0] for _, kind, _ in rows], inputs, levels
 
 
 def _levels_with_rules(x: SchemeExpr, *tables: str) -> tuple:
-    """Level and rule list of x for each NodeKind rule table named
-    ("j_rule", "range_rule"): level, rules, level, rules, ... in the
-    order of tables; the records of one node share its label."""
-    nodes = derivation(x)
-    labels = [label for _, _, label, _ in nodes]
+    """Level and rule list of x for each rule table named ("j",
+    "range"): level, rules, level, rules, ... in the order of tables;
+    the records of one node share its label."""
+    rows = derivation(x)
+    labels: list[str] = []
+    fold_rows(rows, "label", labels)
     out: list = []
     for table in tables:
-        names, inputs, levels = replay(nodes, table)
+        names, inputs, levels = replay(rows, table)
         out += (levels[-1], tuple(map(RuleApplication, labels, names, inputs, levels)))
     return tuple(out)
 
 
 def levels_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...],
                                               int, tuple[RuleApplication, ...]]:
-    """(j_level, j_rules, range_level, range_rules) from one fold.
+    """(j_level, j_rules, range_level, range_rules) from one table.
 
     The same levels and records as j_linear_level_with_rules and
     range_level_with_rules; the two records of each node share one
     label string.
     """
-    return _levels_with_rules(x, "j_rule", "range_rule")
+    return _levels_with_rules(x, "j", "range")
 
 
 def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -667,7 +683,7 @@ def j_linear_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication
     stratification with k strata costs one splitting plus k - 1 further
     closed decompositions over its worst stratum.
     """
-    return _levels_with_rules(x, "j_rule")
+    return _levels_with_rules(x, "j")
 
 
 def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, ...]]:
@@ -680,7 +696,7 @@ def range_level_with_rules(x: SchemeExpr) -> tuple[int, tuple[RuleApplication, .
     add; a torus factor costs one per Gm while projective cells are
     free.
     """
-    return _levels_with_rules(x, "range_rule")
+    return _levels_with_rules(x, "range")
 
 
 def split_order(order: ClosureOrder) -> tuple[int, ...]:
@@ -1050,22 +1066,6 @@ def venn_stratification(sets: Sequence[Iterable], ground: Iterable | None = None
     return VennReport(tuple(strata), True, True)
 
 
-def _node_to_dict(x: SchemeExpr, kids: list) -> dict:
-    kind = kind_of(x)
-    d: dict = {"kind": kind.name}
-    rest = iter(kids)
-    for key, attr, codec in kind.fields:
-        if codec is _CHILD:
-            d[key] = next(rest)
-        elif codec is _CHILDREN:
-            d[key] = list(rest)
-        else:
-            d[key] = codec[0](getattr(x, attr))
-    if x.smooth_flag is not None:
-        d["smooth"] = x.smooth_flag
-    return d
-
-
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
                     list: "an array", dict: "an object"}
 
@@ -1107,23 +1107,8 @@ def _dict_children(d: dict) -> list:
     return out
 
 
-def _node_from_dict(d: dict, kids: list) -> SchemeExpr:
-    kind = _dict_kind(d)
-    args: dict = {}
-    rest = iter(kids)
-    for key, attr, codec in kind.fields:
-        if codec is _CHILD:
-            args[attr] = next(rest)
-        elif codec is _CHILDREN:
-            args[attr] = tuple(rest)
-        else:
-            args[attr] = codec[2](_json_field(d, key, codec[1]), kids)
-    smooth = _json_field(d, "smooth", bool) if "smooth" in d else None
-    return kind.cls(**args, smooth_flag=smooth)
-
-
 def scheme_to_json(x: SchemeExpr) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "expr": fold_tree(x, _node_to_dict)}
+    return {"schema_version": SCHEMA_VERSION, "expr": fold_rows(derivation(x), "to_json")}
 
 
 def scheme_from_json(data: dict) -> SchemeExpr:
@@ -1132,4 +1117,5 @@ def scheme_from_json(data: dict) -> SchemeExpr:
         raise SchemeError("a scheme document must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise SchemeError("unsupported schema_version")
-    return fold_tree(_json_field(data, "expr", dict), _node_from_dict, _dict_children)
+    rows = derivation(_json_field(data, "expr", dict), _dict_kind, _dict_children)
+    return fold_rows(rows, "from_json")

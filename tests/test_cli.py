@@ -780,27 +780,36 @@ class TestParserReuse:
 
 
 class TestOnePassPerQuery:
-    """Each query prints each of its trees once and folds each tree once
-    per level it reports: linlevel replays both rule tables over one
-    derivation table, range and rccm take one range fold, the stratify
-    glue tree takes each level from one label-free fold, and the root
-    label comes from the fold."""
+    """Each query walks each of its trees once per use and folds each
+    tree once per level it reports: linlevel reads its text, labels and
+    both rule tables off one derivation table and takes no separate
+    pretty walk; range and rccm take one range fold and one pretty,
+    each over its own table; the stratify glue tree takes each level
+    from one label-free fold; every stratify query computes its split
+    order once; and no query asks for a root label."""
 
     CASES = [
-        (["linlevel", "open(A^2, A^0) * Gm"], {"pretty": 1, "derivation": 1}),
+        (["linlevel", "open(A^2, A^0) * Gm"], {"derivation": 1}),
         (["range", "A^0 * Gm^3", "--smooth", "--i", "0"],
-         {"pretty": 1, "range_fold": 1, "derivation": 1}),
+         {"pretty": 1, "range_fold": 1, "derivation": 2}),
         (["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"],
-         {"pretty": 1, "range_fold": 1, "derivation": 1}),
-        (["cohomology", "Gm^2", "--j", "0"], {"pretty": 1, "describe_at": 1}),
-        (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"], {"pretty": 1}),
+         {"pretty": 1, "range_fold": 1, "derivation": 2}),
+        (["cohomology", "Gm^2", "--j", "0"],
+         {"pretty": 1, "derivation": 1, "describe_at": 1}),
+        (["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"],
+         {"pretty": 1, "derivation": 1}),
         # the stratification and its glue tree are two printed trees
         (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
-         {"pretty": 2, "j_level": 1, "range_level": 1}),
+         {"pretty": 2, "j_level": 1, "range_level": 1, "derivation": 4,
+          "split_order": 1}),
+        (["stratify", "--file", os.path.join(DATA, "realization3.json")],
+         {"split_order": 1}),
     ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("argv,expected", CASES, ids=[argv[0] for argv, _ in CASES])
+    @pytest.mark.parametrize("argv,expected", CASES,
+                             ids=["-".join(argv[:2]) if argv[1] == "--file" else argv[0]
+                                  for argv, _ in CASES])
     def test_calls_per_query(self, monkeypatch, capsys, argv, expected, fmt):
         calls = Counter()
 
@@ -822,8 +831,10 @@ class TestOnePassPerQuery:
         count(schemes, "j_linear_level_with_rules", "j_fold")
         count(schemes, "range_level_with_rules", "range_fold")
         count(ranges, "range_level_with_rules", "range_fold")
-        count(schemes, "derivation", "derivation")
-        count(cli, "derivation", "derivation")
+        for owner in (schemes, grammar, cli):
+            count(owner, "derivation", "derivation")
+        count(schemes, "split_order", "split_order")
+        count(cli, "split_order", "split_order")
         count(schemes.SchemeExpr, "label", "label")
         count(shifted.ShiftedIdealSum, "describe_at", "describe_at")
         assert cli.main(argv + ["--format", fmt]) == 0
@@ -1078,3 +1089,19 @@ class TestDiagnostics:
         proc = run_cli("range", "A^", "--i", "0")
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_1_quietly(self, fmt):
+        # the answer runs to about 175 kB, more than a pipe holds, so the
+        # writer meets the closed pipe while printing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wittlinear", "rccm", "Gm^3000", "--i", "0",
+             "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first in (b"scheme: Gm^3000 (dim 3000, smooth (derived))\n", b"{\n")
+        assert err == b""

@@ -66,6 +66,22 @@ def test_ranges_imports_nothing_from_cells():
     assert "cells" not in parts
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES + ["__init__.py"] if m != "schemes.py"])
+def test_tree_folds_go_through_the_derivation_table(name):
+    # a printer or rule fold outside schemes reads derivation() rows; a
+    # walk of its own through fold_tree or kind_of would be a second path
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read(), name)
+    calls = [
+        "line %d: %s" % (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("fold_tree", "kind_of")
+    ]
+    assert not calls, calls
+
+
 @pytest.mark.parametrize("name", MODULES + ["__init__.py"])
 def test_no_orphaned_private_names(name):
     # a module-level _name that nothing in its module reads is dead code

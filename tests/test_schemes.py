@@ -718,9 +718,66 @@ class TestDeepTrees:
         assert as_torus_cell(tree) is None
 
 
+def reference_columns(t, out: list) -> tuple:
+    """Every column of t's root, by recursion on the tree and with each
+    kind's forms and rules spelled out here: (label, text, j rule, j
+    inputs, j level, range rule, range inputs, range level).  The same
+    record for every node goes to out, in post-order."""
+    kids = [reference_columns(child, out) for child in t.children()]
+    labels, texts = [k[0] for k in kids], [k[1] for k in kids]
+    js, rs = tuple(k[4] for k in kids), tuple(k[7] for k in kids)
+
+    def gm(d):
+        return "Gm" if d == 1 else "Gm^%d" % d
+
+    if isinstance(t, Empty):
+        forms, j, r = ("empty", "empty"), ("leaf-empty", 0), ("leaf-empty", 0)
+    elif isinstance(t, Affine):
+        forms, j, r = ("A^%d" % t.n,) * 2, ("leaf-affine", 0), ("leaf-affine", 0)
+    elif isinstance(t, TorusCell):
+        parts = ["A^%d" % t.n] if t.n or not t.d else []
+        parts += [gm(t.d)] if t.d else []
+        forms = ("*".join(parts), " * ".join(parts) if t.n or t.d else "Gm^0")
+        j = r = ("leaf-torus-cell", t.d)
+    elif isinstance(t, ProjTimesTorus):
+        twist = [] if t.twist.is_trivial else [t.twist.name]
+        torus = [gm(t.e)] if t.e else []
+        forms = ("*".join(["@".join(["P^%d" % t.c] + twist)] + torus),
+                 " * ".join([" @".join(["P^%d" % t.c] + twist)] + torus))
+        j, r = ("leaf-proj-cell-chain", t.c + t.e), ("leaf-proj-cell-strata", t.e)
+    elif isinstance(t, OpenGlue):
+        forms = ("open(%s, %s)" % tuple(labels), "open(%s, %s)" % tuple(texts))
+        j, r = ("open-glue-split", 1 + max(js)), ("open-glue-shift", 1 + max(rs))
+    elif isinstance(t, ClosedGlue):
+        forms = ("closed(%s, %s)" % tuple(labels), "closed(%s, %s)" % tuple(texts))
+        j, r = ("closed-glue-split", 1 + max(js)), ("closed-glue-five-lemma", max(rs))
+    elif isinstance(t, Product):
+        # a right factor whose text has a "*" outside all parentheses
+        # would reassociate
+        depth, top_star = 0, False
+        for c in texts[1]:
+            depth += (c == "(") - (c == ")")
+            top_star = top_star or (c == "*" and depth == 0)
+        right = "(%s)" % texts[1] if top_star else texts[1]
+        forms = ("%s*%s" % tuple(labels), "%s * %s" % (texts[0], right))
+        j, r = ("product-sum", sum(js)), ("product-sum", sum(rs))
+    else:
+        order, k = t.closure_order, len(kids)
+        covers = ["%d<%d" % (a, b) for a in range(k) for b in range(k)
+                  if a != b and order.leq(a, b) and not any(
+                      m not in (a, b) and order.leq(a, m) and order.leq(m, b)
+                      for m in range(k))]
+        forms = ("strat[%d]" % k, "strat(%s; %s)" % (", ".join(texts), ", ".join(covers)))
+        j, r = ("stratified-split", k + max(js)), ("stratified-refinement", max(rs))
+    record = (*forms, j[0], js, j[1], r[0], rs, r[1])
+    out.append(record)
+    return record
+
+
 class TestDerivationTable:
-    """derivation() lists the nodes with their labels, and replay() turns
-    it into the columns the record folds zip."""
+    """derivation() lists the nodes in post-order with their kind and
+    child count and nothing else; fold_rows() and replay() read every
+    column off those rows, and the public folds read them too."""
 
     @staticmethod
     def post_order(t):
@@ -728,28 +785,87 @@ class TestDerivationTable:
             yield from TestDerivationTable.post_order(child)
         yield t
 
+    @staticmethod
+    def columns(rows):
+        """The table's columns, in reference_columns' order."""
+        labels: list = []
+        texts: list = []
+        schemes.fold_rows(rows, "label", labels)
+        schemes.fold_rows(rows, "text", texts)
+        return list(zip(labels, texts, *schemes.replay(rows, "j"),
+                        *schemes.replay(rows, "range")))
+
     @settings(max_examples=80, deadline=None)
     @given(parser_trees)
-    def test_rows_are_the_nodes_in_post_order_with_their_labels(self, t):
+    def test_rows_are_the_nodes_in_post_order_with_kind_and_count(self, t):
         nodes = list(self.post_order(t))
         rows = schemes.derivation(t)
-        assert len(rows) == len(nodes)
-        assert all(node is expected for (node, _, _, _), expected in zip(rows, nodes))
-        assert [(kind, label, count) for _, kind, label, count in rows] == [
-            (kind_of(n), n.label(), len(n.children())) for n in nodes]
+        assert [len(row) for row in rows] == [3] * len(nodes)
+        assert all(node is expected for (node, _, _), expected in zip(rows, nodes))
+        assert [(kind, count) for _, kind, count in rows] == [
+            (NODE_KINDS[type(n)], len(n.children())) for n in nodes]
 
     @settings(max_examples=80, deadline=None)
     @given(parser_trees)
     def test_replayed_columns_zip_to_the_rule_lists(self, t):
         rows = schemes.derivation(t)
-        labels = [label for _, _, label, _ in rows]
+        labels: list = []
+        schemes.fold_rows(rows, "label", labels)
         zipped = []
-        for table in ("j_rule", "range_rule"):
+        for table in ("j", "range"):
             names, inputs, levels = schemes.replay(rows, table)
             zipped += [levels[-1], tuple(map(RuleApplication, labels, names, inputs, levels))]
         assert tuple(zipped) == levels_with_rules(t)
         assert tuple(zipped[:2]) == j_linear_level_with_rules(t)
         assert tuple(zipped[2:]) == range_level_with_rules(t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(parser_trees)
+    def test_every_column_matches_the_recursive_reference(self, t):
+        expected: list = []
+        root = reference_columns(t, expected)
+        assert self.columns(schemes.derivation(t)) == expected
+        label, text, _, _, jl, _, _, rl = root
+        assert (t.label(), pretty(t), t.j_linear_level(), t.range_level()) == (
+            label, text, jl, rl)
+        j_rules = tuple(RuleApplication(e[0], e[2], e[3], e[4]) for e in expected)
+        r_rules = tuple(RuleApplication(e[0], e[5], e[6], e[7]) for e in expected)
+        assert levels_with_rules(t) == (jl, j_rules, rl, r_rules)
+        assert j_linear_level_with_rules(t) == (jl, j_rules)
+        assert range_level_with_rules(t) == (rl, r_rules)
+
+    def test_depth_2000_chain_matches_its_closed_forms(self):
+        # t_k = closed(A^0, t_(k-1) * Gm) from t_0 = A^1: two levels of
+        # nesting per step, four rows per step, j level 2k, range level k
+        steps = 1000
+        tree = Affine(1)
+        for _ in range(steps):
+            tree = ClosedGlue(Affine(0), Product(tree, TorusCell(0, 1)))
+        rows = schemes.derivation(tree)
+        assert len(rows) == 4 * steps + 1
+        # post-order: each step's closed piece A^0 comes before t_(k-1),
+        # so the A^0 rows of all steps lead, then A^1, then each step's
+        # Gm, product and closed rows
+        leaf = ("leaf-affine", (), 0)
+        expected = [("A^0", "A^0", *leaf, *leaf)] * steps + [("A^1", "A^1", *leaf, *leaf)]
+        label = text = "A^1"
+        for k in range(1, steps + 1):
+            expected += [
+                ("Gm", "Gm", "leaf-torus-cell", (), 1, "leaf-torus-cell", (), 1),
+                (label + "*Gm", text + " * Gm", "product-sum", (2 * k - 2, 1), 2 * k - 1,
+                 "product-sum", (k - 1, 1), k),
+            ]
+            label, text = "closed(A^0, %s*Gm)" % label, "closed(A^0, %s * Gm)" % text
+            expected.append((label, text, "closed-glue-split", (0, 2 * k - 1), 2 * k,
+                             "closed-glue-five-lemma", (0, k), k))
+        assert self.columns(rows) == expected
+        label = "closed(A^0, " * steps + "A^1" + "*Gm)" * steps
+        text = "closed(A^0, " * steps + "A^1" + " * Gm)" * steps
+        assert expected[-1][:2] == (label, text)
+        assert (tree.label(), pretty(tree)) == (label, text)
+        assert (tree.j_linear_level(), tree.range_level()) == (2 * steps, steps)
+        jl, j_rules, rl, r_rules = levels_with_rules(tree)
+        assert (jl, rl, len(j_rules), len(r_rules)) == (2 * steps, steps, len(rows), len(rows))
 
 
 class TestCombinedFold:
@@ -768,13 +884,18 @@ class TestCombinedFold:
     @settings(max_examples=80, deadline=None)
     @given(parser_trees)
     def test_level_methods_fold_no_labels(self, t):
-        # neither label() nor the labelled fold, which builds a label and
-        # a RuleApplication per node
+        # no label, rule name or inputs: one level column, root only
+        seen = []
+        fold = schemes.fold_rows
+
+        def spy(rows, column, values=None, inputs=None):
+            seen.append((column, values, inputs))
+            return fold(rows, column, values, inputs)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SchemeExpr, "label", lambda self: pytest.fail("label() called"))
-            patch.setattr(schemes, "_levels_with_rules",
-                          lambda *args: pytest.fail("labelled fold called"))
+            patch.setattr(schemes, "fold_rows", spy)
+            patch.setattr(schemes, "replay", lambda *args: pytest.fail("rule columns built"))
             levels = (t.j_linear_level(), t.range_level())
+        assert seen == [("j_level", None, None), ("range_level", None, None)]
         assert levels == (j_linear_level_with_rules(t)[0], range_level_with_rules(t)[0])
 
     @settings(max_examples=150, deadline=None)
