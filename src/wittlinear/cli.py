@@ -306,9 +306,7 @@ def cmd_range(args) -> tuple[dict, list[str]]:
     verdict, payload, text = _range_query(args, sheaf_range)
     i = args.i
     iso_from = verdict.iso_from(i)
-    inj_at = i + verdict.level - 1
-    if inj_at >= iso_from:
-        inj_at = None
+    inj_at = iso_from - 1 if verdict.is_injective(i, iso_from - 1) else None
     result = "ISO for j >= %d" % iso_from
     if inj_at is not None:
         result += "; INJECTIVE at j = %d" % inj_at
@@ -411,13 +409,16 @@ def cmd_rccm(args) -> tuple[dict, list[str]]:
     i = args.i
     verdict, payload, text = _range_query(
         args, lambda tree, field: rccm_report(tree, i, field))
+    iso_from = verdict.iso_from()
+    # a negative degree in parentheses, not after a second hyphen
+    grade = "grade-%d image" % i if i >= 0 else "grade-(%d) image" % i
     payload["assumptions"].append("valid for every line-bundle twist")
     text += [
         "comparison map in degree %d (any line-bundle twist):" % i,
-        "ISO for j >= %d" % verdict.iso_from(),
+        "ISO for j >= %d" % iso_from,
     ]
     entries = []
-    for j in range(i - 2, max(verdict.iso_from(), i) + 2):
+    for j in range(i - 2, max(iso_from, i) + 2):
         e = verdict.classify(j)
         entry = {"j": j, "case": e.case.value}
         line = "j = %d: %s" % (j, e.case.value)
@@ -426,11 +427,10 @@ def cmd_rccm(args) -> tuple[dict, list[str]]:
             line += "  image contains 2^%d * singular" % e.image_contains_power
         if e.image_equals_power is not None:
             entry["image_equals_power"] = e.image_equals_power
-            line += "  image equals 2^%d * (grade-%d image)" % (
-                e.image_equals_power, i)
+            line += "  image equals 2^%d * (%s)" % (e.image_equals_power, grade)
         entries.append(entry)
         text.append(line)
-    payload.update({"iso_for_j_at_least": verdict.iso_from(), "entries": entries})
+    payload.update({"iso_for_j_at_least": iso_from, "entries": entries})
     return payload, text
 
 
@@ -476,9 +476,9 @@ def cmd_stratify(args) -> tuple[dict, list[str]]:
         if not isinstance(tree, Stratified):
             raise UnsupportedQueryError("stratify needs a strat(...) expression")
         order = split_order(tree.closure_order)
-        glue = tree.to_glue_tree(order)
-        expr, glue_expr = pretty(tree), pretty(glue)
-        jl, rl = glue.j_linear_level(), glue.range_level()
+        rows = derivation(tree.to_glue_tree(order))
+        expr, glue_expr = pretty(tree), fold_rows(rows, "text")
+        jl, rl = fold_rows(rows, "j_level"), fold_rows(rows, "range_level")
         payload = {
             "expr": expr,
             "glue_tree": glue_expr,

@@ -153,7 +153,7 @@ class SheafRangeVerdict(Frozen):
         return min(i + self.level, self.dim + 1)
 
     def is_iso(self, i: int, j: int) -> bool:
-        return j >= i + self.level or j >= self.dim + 1
+        return j >= self.iso_from(i)
 
     def is_injective(self, i: int, j: int) -> bool:
         return self.is_iso(i, j) or j == i + self.level - 1
@@ -273,9 +273,9 @@ class RccmVerdict(Frozen):
         return min(self.i + self.level, self.dim + 1)
 
     def classify(self, j: int) -> RccmEntry:
-        i, n = self.i, self.level
-        if j >= i + n or j >= self.dim + 1:
+        if j >= self.iso_from():
             return RccmEntry(RccmCase.ISO)
+        i, n = self.i, self.level
         contains = i + n - j
         equals = i - j if j < i else None
         if j == i + n - 1:
@@ -304,13 +304,14 @@ def rccm_report(x: SchemeExpr, i: int,
     return RccmVerdict(i=i, level=lifted.level, dim=lifted.dim, provenance=rules)
 
 
-def _rs_group_vanishes(z: SchemeExpr, a: int, b: int) -> Vanishing:
+def _vanishes(z: SchemeExpr, a: int, b: int,
+              oracle: VanishingOracle | None) -> Vanishing:
     """Does the degree-a homology of z at grade b vanish?
 
-    Structural answers only: the empty scheme, affine spaces and torus
+    Structural answers first: the empty scheme, affine spaces and torus
     cells concentrate their homology in top degree, where the group is
-    the evaluated shifted sum.  Everything else is UNKNOWN here and may
-    be settled by a caller-provided oracle.
+    the evaluated shifted sum.  Everything else is asked of the
+    caller-provided oracle, and is UNKNOWN without one.
     """
     if a < 0 or z.is_empty:
         return Vanishing.ZERO
@@ -322,16 +323,11 @@ def _rs_group_vanishes(z: SchemeExpr, a: int, b: int) -> Vanishing:
         # graded pieces at grades (b + dim) - s for shifts s in 0..d;
         # some piece is nonzero exactly when b + dim >= 0
         return Vanishing.NONZERO if b + n + d >= 0 else Vanishing.ZERO
-    return Vanishing.UNKNOWN
-
-
-def _vanishes(z: SchemeExpr, a: int, b: int,
-              oracle: VanishingOracle | None) -> Vanishing:
-    v = _rs_group_vanishes(z, a, b)
-    if v is Vanishing.UNKNOWN and oracle is not None:
-        v = oracle(z, a, b)
-        if not isinstance(v, Vanishing):
-            raise TypeError("vanishing oracle must return a Vanishing value")
+    if oracle is None:
+        return Vanishing.UNKNOWN
+    v = oracle(z, a, b)
+    if not isinstance(v, Vanishing):
+        raise TypeError("vanishing oracle must return a Vanishing value")
     return v
 
 

@@ -94,6 +94,8 @@ class SchemeExpr(Frozen):
     _subtrees: tuple[str, ...] = ()
     _data = attrgetter("smooth_flag")
     smooth_flag: bool | None = None
+    # the class's entry in NODE_KINDS, set when the table is built
+    _kind: NodeKind | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -594,14 +596,18 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
 
 _KINDS_BY_NAME = {kind.name: kind for kind in NODE_KINDS.values()}
 
+# each class carries its kind once, and a subclass inherits its base's
+for _kind in NODE_KINDS.values():
+    _kind.cls._kind = _kind
+del _kind
+
 
 def kind_of(x: SchemeExpr) -> NodeKind:
     """The table entry for a node (subclasses use their base kind's)."""
-    for cls in type(x).__mro__:
-        kind = NODE_KINDS.get(cls)
-        if kind is not None:
-            return kind
-    raise SchemeError("unknown scheme node %r" % (x,))
+    kind = getattr(x, "_kind", None)
+    if kind is None:
+        raise SchemeError("unknown scheme node %r" % (x,))
+    return kind
 
 
 def derivation(x, kind: Callable = kind_of, children: Callable | None = None) -> list[tuple]:

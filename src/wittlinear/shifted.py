@@ -38,24 +38,20 @@ class StepKind(Enum):
 
 
 def _divisibility_normal_form(orders: list[int]) -> tuple[int, ...]:
-    # Repeatedly replace a pair by (gcd, lcm) until every pair divides;
-    # this is the classical reduction to invariant factors and needs no
-    # integer factorization.
+    # Replace each pair i < k by (gcd, lcm) where work[i] does not divide
+    # work[k]: the classical reduction to invariant factors, with no
+    # integer factorization.  One pass suffices: after row i, work[i]
+    # divides every later entry, and the gcd and lcm of its multiples
+    # stay its multiples, so the result is a divisibility chain.
     work = [abs(o) for o in orders if abs(o) != 1]
     if any(o == 0 for o in work):
         raise ValueError("torsion orders must be nonzero")
-    changed = True
-    while changed:
-        changed = False
-        for i, k in itertools.combinations(range(len(work)), 2):
-            a, b = work[i], work[k]
-            if b % a != 0:
-                g = gcd(a, b)
-                work[i], work[k] = g, a * b // g
-                changed = True
-        work = [o for o in work if o != 1]
-        work.sort()
-    return tuple(work)
+    for i, k in itertools.combinations(range(len(work)), 2):
+        a, b = work[i], work[k]
+        if b % a != 0:
+            g = gcd(a, b)
+            work[i], work[k] = g, a * b // g
+    return tuple(o for o in work if o != 1)
 
 
 class AbelianGroupPresentation(Frozen):

@@ -784,9 +784,10 @@ class TestOnePassPerQuery:
     tree once per level it reports: linlevel reads its text, labels and
     both rule tables off one derivation table and takes no separate
     pretty walk; range and rccm take one range fold and one pretty,
-    each over its own table; the stratify glue tree takes each level
-    from one label-free fold; every stratify query computes its split
-    order once; and no query asks for a root label."""
+    each over its own table; stratify prints the stratification from
+    one table and reads the glue tree's text and both levels off
+    another; every stratify query computes its split order once; and no
+    query asks for a root label."""
 
     CASES = [
         (["linlevel", "open(A^2, A^0) * Gm"], {"derivation": 1}),
@@ -800,8 +801,7 @@ class TestOnePassPerQuery:
          {"pretty": 1, "derivation": 1}),
         # the stratification and its glue tree are two printed trees
         (["stratify", "strat(A^0, A^1, Gm; 0<1, 0<2)"],
-         {"pretty": 2, "j_level": 1, "range_level": 1, "derivation": 4,
-          "split_order": 1}),
+         {"pretty": 1, "derivation": 2, "split_order": 1}),
         (["stratify", "--file", os.path.join(DATA, "realization3.json")],
          {"split_order": 1}),
     ]

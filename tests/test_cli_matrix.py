@@ -68,6 +68,7 @@ QUERIES = [
     ["cohomology", "P^2 @O(3) * Gm^3", "--j", "2"],
     ["rccm", "A^0 * Gm^3", "--smooth", "--i", "0"],
     ["rccm", "P^1 @O(2) * Gm", "--smooth", "--i", "1"],
+    ["rccm", "Gm", "--i", "-3"],  # a negative degree prints as grade-(-3)
     ["cokernel", "P^2 @O(3) * Gm^3", "--i", "2", "--j0", "2"],
     ["cokernel", "Gm^2", "--i", "0", "--j0", "0", "--j1", "1"],
     ["cokernel", "A^1 * Gm^2", "--i", "0", "--j0", "-1"],

@@ -1,15 +1,19 @@
-"""What the package imports: every name a library module imports is
-used in it, and the command line loads no heavy stdlib module."""
+"""What the package imports and exports: every name a library module
+imports is used in it, the package exports each API module's __all__
+and nothing else, and the command line loads no heavy stdlib module."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+import wittlinear
 from helpers import SRC
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -82,11 +86,9 @@ def test_tree_folds_go_through_the_derivation_table(name):
     assert not calls, calls
 
 
-@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
-def test_no_orphaned_private_names(name):
-    # a module-level _name that nothing in its module reads is dead code
-    with open(os.path.join(PACKAGE, name)) as fh:
-        tree = ast.parse(fh.read(), name)
+def _top_level_names(tree: ast.Module) -> dict[str, int]:
+    """The names a module's own defs, classes and assignments bind at
+    top level, each with its line."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -95,11 +97,66 @@ def test_no_orphaned_private_names(name):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Name):
                     defined[target.id] = node.lineno
+    return defined
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__.py"])
+def test_no_orphaned_private_names(name):
+    # a module-level _name that nothing in its module reads is dead code
+    with open(os.path.join(PACKAGE, name)) as fh:
+        tree = ast.parse(fh.read(), name)
+    defined = _top_level_names(tree)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     orphans = ["line %d: %s" % (line, n) for n, line in sorted(defined.items())
                if n.startswith("_") and not n.startswith("__") and n not in read]
     assert not orphans, orphans
+
+
+# the modules whose __all__ the package re-exports
+API_MODULES = ("cells", "grammar", "ranges", "schemes", "shifted", "witt")
+
+
+def _all_of(module: str) -> list[str]:
+    return importlib.import_module("wittlinear." + module).__all__
+
+
+def test_package_exports_exactly_the_api_modules_all():
+    public = {name for name, value in vars(wittlinear).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {name for module in API_MODULES for name in _all_of(module)}
+
+
+def test_no_name_is_in_two_all_lists():
+    owners = {}
+    for module in API_MODULES:
+        for name in _all_of(module):
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+@pytest.mark.parametrize("module", API_MODULES + ("cli", "_frozen"))
+def test_every_all_entry_is_defined_in_its_module(module):
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        defined = _top_level_names(ast.parse(fh.read(), module))
+    assert [name for name in _all_of(module) if name not in defined] == []
+
+
+def test_init_binds_api_names_only_by_star_imports():
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        tree = ast.parse(fh.read(), "__init__.py")
+    starred, other = [], []
+    for node in tree.body:
+        if (isinstance(node, ast.ImportFrom) and node.level == 1
+                and [alias.name for alias in node.names] == ["*"]):
+            starred.append(node.module)
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        elif not (isinstance(node, ast.Assign) and all(
+                isinstance(t, ast.Name) and t.id.startswith("__") for t in node.targets)):
+            other.append("line %d: %s" % (node.lineno, ast.unparse(node)))
+    assert other == []
+    assert sorted(starred) == sorted(API_MODULES)
 
 
 # dataclasses and fractions, and what dataclasses imports: the command

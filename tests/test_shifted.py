@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snf_oracle import snf_cokernel
@@ -30,6 +30,27 @@ def torus_sum(d: int) -> ShiftedIdealSum:
 summand_lists = st.lists(
     st.tuples(st.integers(-3, 8), st.integers(0, 5)), min_size=0, max_size=6
 )
+
+
+def per_prime_invariant_factors(orders) -> tuple[int, ...]:
+    """Invariant factors from the elementary divisors: split each order
+    into prime powers by trial division; the k-th largest factor is the
+    product over primes p of the k-th largest power of p."""
+    powers: dict[int, list[int]] = {}
+    for o in orders:
+        o, p = abs(o), 2
+        while o > 1:
+            q = 1
+            while o % p == 0:
+                o, q = o // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            factors[-1 - k] *= q
+    return tuple(factors)
 
 
 class TestPresentation:
@@ -75,6 +96,12 @@ class TestPresentation:
         for a, b in zip(g.torsion_orders, g.torsion_orders[1:]):
             assert b % a == 0
         assert math.prod(g.torsion_orders) == math.prod(orders)
+
+    @given(st.lists(st.one_of(st.integers(-64, -1), st.integers(1, 64)), max_size=8))
+    @example([2, 2, 4])  # (4, 4) has the same product and is a chain
+    def test_from_orders_matches_the_per_prime_reference(self, orders):
+        assert AbelianGroupPresentation.from_orders(1, orders) == \
+            AbelianGroupPresentation(1, per_prime_invariant_factors(orders))
 
 
 class TestSumNormalization:
