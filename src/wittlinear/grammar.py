@@ -128,10 +128,10 @@ class _Parser:
         m = next(islice(_TOKEN.finditer(self.text), index, None), None)
         return _error(self.text, message, m.start(1) if m else len(self.text))
 
-    def expect(self, token: str, what: str) -> None:
+    def expect(self, token: str) -> None:
         found = self.tokens[self.pos]
         if found != token:
-            raise self.fail("expected %s, found %r" % (what, found or "end of input"))
+            raise self.fail("expected '%s', found %r" % (token, found or "end of input"))
         self.pos += 1
 
     def word(self, start: frozenset, what: str) -> str:
@@ -162,13 +162,13 @@ class _Parser:
         if name == "(":
             self.pos += 1
             inner = self.parse_expr()
-            self.expect(")", "')'")
+            self.expect(")")
             return inner
         if name[:1] not in _NAME_START:
             raise self.fail("expected a scheme term, found %r" % (name or "end of input"))
         self.pos += 1
         if name == "A":
-            self.expect("^", "'^'")
+            self.expect("^")
             return Affine(self.nat("affine dimension"))
         if name == "Gm":
             if self.tokens[self.pos] == "^":
@@ -176,7 +176,7 @@ class _Parser:
                 return TorusCell(0, self.nat("torus rank"))
             return TorusCell(0, 1)
         if name == "P":
-            self.expect("^", "'^'")
+            self.expect("^")
             c = self.nat("projective dimension")
             twist = TwistLabel.trivial()
             if self.tokens[self.pos] == "@":
@@ -185,11 +185,11 @@ class _Parser:
             return ProjTimesTorus(c, 0, twist)
         glue = _GLUES.get(name)
         if glue is not None:
-            self.expect("(", "'('")
+            self.expect("(")
             first = self.parse_expr()
-            self.expect(",", "','")
+            self.expect(",")
             second = self.parse_expr()
-            self.expect(")", "')'")
+            self.expect(")")
             return glue(first, second)
         if name == "strat":
             return self.parse_strat()
@@ -202,7 +202,7 @@ class _Parser:
         if name == "O" and self.tokens[self.pos] == "(":
             self.pos += 1
             k = int(self.word(_INT_START, "an integer twist degree"))
-            self.expect(")", "')'")
+            self.expect(")")
             return TwistLabel.o(k)
         warnings.warn(
             "twist %r is not of the form O(<int>); treating it as an opaque label"
@@ -214,25 +214,25 @@ class _Parser:
 
     def parse_strat(self) -> SchemeExpr:
         tokens = self.tokens
-        self.expect("(", "'('")
+        self.expect("(")
         strata = [self.parse_expr()]
         while tokens[self.pos] == ",":
             self.pos += 1
             strata.append(self.parse_expr())
-        self.expect(";", "';'")
+        self.expect(";")
         pairs: list[tuple[int, int]] = []
         if tokens[self.pos] != ")":
             pairs.append(self.parse_pair())
             while tokens[self.pos] == ",":
                 self.pos += 1
                 pairs.append(self.parse_pair())
-        self.expect(")", "')'")
+        self.expect(")")
         order = ClosureOrder.from_pairs(len(strata), pairs)
         return Stratified(tuple(strata), order)
 
     def parse_pair(self) -> tuple[int, int]:
         a = self.nat("a stratum index")
-        self.expect("<", "'<'")
+        self.expect("<")
         b = self.nat("a stratum index")
         return (a, b)
 

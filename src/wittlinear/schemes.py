@@ -79,15 +79,16 @@ class SchemeExpr(Frozen):
 
     smooth_flag is a user assertion overriding the structural default;
     None means "derive from the construction".  It is a keyword-only
-    argument of every node and the first field of its repr.  dim,
-    is_empty and the derived smoothness are computed once, at
-    construction, from the children's stored values, so reading them
-    never walks the tree.
+    argument of every node and the first field of its repr.  _set_shape
+    stores it with dim, is_empty and smooth (the flag, or else derived
+    from the children's stored values) once, at construction, so reading
+    them never walks the tree.
 
-    Equality and hashing walk the tree iteratively, so they take trees
-    of any depth: _subtrees names the fields that hold children, and the
-    other fields (_data) are compared node by node.  repr recurses; its
-    text grows with the square of the depth anyway.
+    _subtrees names the fields that hold children (one field: a tuple of
+    them), and children() is built from it per class; the other fields
+    (_data) are compared node by node.  Equality and hashing walk the
+    tree iteratively, so they take trees of any depth.  repr recurses;
+    its text grows with the square of the depth anyway.
     """
 
     _fields: tuple[str, ...] = ("smooth_flag",)
@@ -100,14 +101,20 @@ class SchemeExpr(Frozen):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._data = attrgetter(*(f for f in cls._fields if f not in cls._subtrees))
+        if cls._subtrees:
+            # wrapped, since an attrgetter on a class does not bind as a method
+            subtrees = attrgetter(*cls._subtrees)
+            cls.children = lambda self: subtrees(self)
 
     def __init__(self, *, smooth_flag: bool | None = None) -> None:
         set_field(self, "smooth_flag", smooth_flag)
 
-    def _set_shape(self, dim: int, smooth: bool, is_empty: bool = False) -> None:
+    def _set_shape(self, smooth_flag: bool | None, dim: int, smooth: bool,
+                   is_empty: bool = False) -> None:
+        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "dim", dim)
         set_field(self, "is_empty", is_empty)
-        set_field(self, "_derived_smooth", smooth)
+        set_field(self, "smooth", smooth if smooth_flag is None else smooth_flag)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,17 +134,10 @@ class SchemeExpr(Frozen):
         return True
 
     def __hash__(self) -> int:
-        # equal trees list the same data in the same breadth-first order
-        nodes = [self]
-        for node in nodes:
-            nodes.extend(node.children())
-        return hash(tuple(t._data(t) for t in nodes))
-
-    @property
-    def smooth(self) -> bool:
-        if self.smooth_flag is not None:
-            return self.smooth_flag
-        return self._derived_smooth
+        # equal trees give the same post-order rows; type stands in for
+        # kind_of, so a bare SchemeExpr hashes too
+        return hash(tuple((node._data(node), cls, count)
+                          for node, cls, count in derivation(self, type)))
 
     def assume_smooth(self) -> "SchemeExpr":
         return replace(self, smooth_flag=True)
@@ -162,8 +162,7 @@ class Empty(SchemeExpr):
     """The empty scheme; dimension -1 by convention."""
 
     def __init__(self, *, smooth_flag: bool | None = None) -> None:
-        set_field(self, "smooth_flag", smooth_flag)
-        self._set_shape(-1, True, True)
+        self._set_shape(smooth_flag, -1, True, True)
 
 
 class Affine(SchemeExpr):
@@ -174,9 +173,8 @@ class Affine(SchemeExpr):
     def __init__(self, n: int, *, smooth_flag: bool | None = None) -> None:
         if n < 0:
             raise SchemeError("affine dimension must be non-negative")
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "n", n)
-        self._set_shape(n, True)
+        self._set_shape(smooth_flag, n, True)
 
 
 class TorusCell(SchemeExpr):
@@ -187,10 +185,9 @@ class TorusCell(SchemeExpr):
     def __init__(self, n: int, d: int, *, smooth_flag: bool | None = None) -> None:
         if n < 0 or d < 0:
             raise SchemeError("torus cell parameters must be non-negative")
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "n", n)
         set_field(self, "d", d)
-        self._set_shape(n + d, True)
+        self._set_shape(smooth_flag, n + d, True)
 
 
 class ProjTimesTorus(SchemeExpr):
@@ -202,11 +199,10 @@ class ProjTimesTorus(SchemeExpr):
                  smooth_flag: bool | None = None) -> None:
         if c < 0 or e < 0:
             raise SchemeError("projective/torus parameters must be non-negative")
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "c", c)
         set_field(self, "e", e)
         set_field(self, "twist", twist)
-        self._set_shape(c + e, True)
+        self._set_shape(smooth_flag, c + e, True)
 
 
 class OpenGlue(SchemeExpr):
@@ -225,14 +221,10 @@ class OpenGlue(SchemeExpr):
             raise SchemeError(
                 "removed closed piece must have smaller dimension than the ambient scheme"
             )
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "ambient", ambient)
         set_field(self, "closed", closed)
         # an open subscheme of a smooth scheme is smooth
-        self._set_shape(ambient.dim, ambient.smooth, ambient.is_empty)
-
-    def children(self) -> tuple[SchemeExpr, ...]:
-        return (self.ambient, self.closed)
+        self._set_shape(smooth_flag, ambient.dim, ambient.smooth, ambient.is_empty)
 
 
 class ClosedGlue(SchemeExpr):
@@ -243,16 +235,12 @@ class ClosedGlue(SchemeExpr):
 
     def __init__(self, closed: SchemeExpr, open_part: SchemeExpr, *,
                  smooth_flag: bool | None = None) -> None:
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "closed", closed)
         set_field(self, "open_part", open_part)
         # gluing a closed stratum back in usually creates singular points;
         # smoothness of the total space is an assertion, not a derivation
-        self._set_shape(max(closed.dim, open_part.dim), False,
+        self._set_shape(smooth_flag, max(closed.dim, open_part.dim), False,
                         closed.is_empty and open_part.is_empty)
-
-    def children(self) -> tuple[SchemeExpr, ...]:
-        return (self.closed, self.open_part)
 
 
 class Product(SchemeExpr):
@@ -261,15 +249,11 @@ class Product(SchemeExpr):
 
     def __init__(self, left: SchemeExpr, right: SchemeExpr, *,
                  smooth_flag: bool | None = None) -> None:
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "left", left)
         set_field(self, "right", right)
         is_empty = left.is_empty or right.is_empty
-        self._set_shape(-1 if is_empty else left.dim + right.dim,
+        self._set_shape(smooth_flag, -1 if is_empty else left.dim + right.dim,
                         left.smooth and right.smooth, is_empty)
-
-    def children(self) -> tuple[SchemeExpr, ...]:
-        return (self.left, self.right)
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -388,13 +372,9 @@ class Stratified(SchemeExpr):
                 "closure order is on %d strata but %d were given"
                 % (closure_order.size, len(strata))
             )
-        set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "strata", strata)
         set_field(self, "closure_order", closure_order)
-        self._set_shape(max(s.dim for s in strata), False)
-
-    def children(self) -> tuple[SchemeExpr, ...]:
-        return self.strata
+        self._set_shape(smooth_flag, max(s.dim for s in strata), False)
 
     def to_glue_tree(self, order: tuple[int, ...] | None = None) -> SchemeExpr:
         """Rewrite as nested closed decompositions.

@@ -135,6 +135,8 @@ class TestHcProjTimesTorus:
             hc_proj_times_torus(-1, 0, TwistLabel.o(0))
         with pytest.raises(ValueError):
             hc_proj_times_torus(1, -1, TwistLabel.o(2))
+        with pytest.raises(ValueError, match="torus rank must be non-negative"):
+            cellular_complex_proj_times_torus(1, -1, TwistLabel.o(2))
 
     def test_stable_cokernel_group_against_matrix_oracle(self):
         for c, e in [(1, 2), (2, 3), (3, 1)]:

@@ -992,6 +992,16 @@ class TestStratifyCommand:
         assert out == ""
         assert err == "error: closure relation must be transitive\n"
 
+    def test_file_mode_refuses_fewer_closure_sets_than_pieces(self, tmp_path, capsys):
+        realization = {"schema_version": 1, "ground": ["a", "b"],
+                       "pieces": [["a"], ["b"]], "closure": [[0]]}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(realization))
+        assert cli.main(["stratify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: one closure set per piece required\n"
+
     @pytest.mark.parametrize("closure,pieces", [
         # true would be read as piece 1
         ([[0], [True, 1]], [["a"], ["b"]]),

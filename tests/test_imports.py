@@ -1,6 +1,7 @@
 """What the package imports and exports: every name a library module
 imports is used in it, the package exports each API module's __all__
-and nothing else, and the command line loads no heavy stdlib module."""
+and nothing else, each scheme node class states its shape once, and
+the command line loads no heavy stdlib module."""
 from __future__ import annotations
 
 import ast
@@ -84,6 +85,45 @@ def test_tree_folds_go_through_the_derivation_table(name):
         in ("fold_tree", "kind_of")
     ]
     assert not calls, calls
+
+
+def _class_bodies(module: str) -> list[tuple[str, ast.stmt]]:
+    """(class name, statement) for every statement of every class body
+    of a package module."""
+    with open(os.path.join(PACKAGE, module)) as fh:
+        tree = ast.parse(fh.read(), module)
+    return [(cls.name, stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body]
+
+
+def _binds(stmt: ast.stmt) -> set[str]:
+    """The names a class-body statement defines or assigns."""
+    if isinstance(stmt, ast.FunctionDef):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@pytest.mark.parametrize("name,owners", [
+    # every node's children() is built from its _subtrees
+    ("children", ["SchemeExpr"]),
+    # smooth is a plain attribute that _set_shape stores
+    ("smooth", []),
+], ids=["children", "smooth"])
+def test_scheme_classes_that_define(name, owners):
+    assert [cls for cls, stmt in _class_bodies("schemes.py") if name in _binds(stmt)] == owners
+
+
+def test_smooth_flag_is_stored_only_by_the_base_node():
+    stores = sorted(
+        "%s.%s" % (cls, stmt.name)
+        for cls, stmt in _class_bodies("schemes.py") if isinstance(stmt, ast.FunctionDef)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "set_field"
+        and any(isinstance(a, ast.Constant) and a.value == "smooth_flag" for a in node.args)
+    )
+    assert stores == ["SchemeExpr.__init__", "SchemeExpr._set_shape"]
 
 
 def _top_level_names(tree: ast.Module) -> dict[str, int]:

@@ -116,6 +116,9 @@ class TestSheafRange:
 
     def test_no_certificates_for_glue_trees(self):
         assert sheaf_range(GM_TREE).not_surjective == frozenset()
+        # open(A^1, A^0) has no certificate: the diagonal just below the
+        # bound is INJECTIVE
+        assert sheaf_range(GM_TREE).classify(1, 1) == "INJECTIVE"
 
     def test_conversion_rule_is_recorded(self):
         v = sheaf_range(TorusCell(0, 2))

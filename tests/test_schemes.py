@@ -950,7 +950,7 @@ class TestNodeKinds:
         @dataclass(frozen=True)
         class Point(SchemeExpr):
             def __post_init__(self):
-                self._set_shape(0, True)
+                self._set_shape(None, 0, True)
 
         with pytest.raises(SchemeError, match="unknown scheme node"):
             range_level_with_rules(Product(Affine(1), Point()))

@@ -125,6 +125,9 @@ class TestSumNormalization:
         assert e.max_shift is None
         assert e.total_multiplicity == 0
         assert e.step_verdict(3).is_iso
+        assert e.describe_at(3) == "0"
+        assert e.cokernel_exponent(0) == 1
+        assert str(e) == "0"
 
     def test_equal_multisets_compare_equal(self):
         a = ShiftedIdealSum.from_pairs([(0, 1), (1, 1), (1, 1)])
@@ -140,6 +143,8 @@ class TestEvaluation:
 
     def test_str(self):
         assert str(GM) == "I[j] (+) I[j-1]"
+        s = ShiftedIdealSum.from_pairs([(-2, 1), (0, 2), (3, 1)])
+        assert str(s) == "I[j+2] (+) I[j]^2 (+) I[j-3]"
 
 
 class TestStepVerdicts:
