@@ -80,21 +80,25 @@ class SchemeExpr(Frozen):
     smooth_flag is a user assertion overriding the structural default;
     None means "derive from the construction".  It is a keyword-only
     argument of every node and the first field of its repr.  _set_shape
-    stores it with dim, is_empty and smooth (the flag, or else derived
-    from the children's stored values) once, at construction, so reading
-    them never walks the tree.
+    stores it with dim, is_empty, smooth (the flag, or else derived from
+    the children's stored values) and cell once, at construction, so
+    reading them never walks the tree.  cell is (n, d) for a tree that is
+    structurally A^n x Gm^d (an Affine, a TorusCell, or a Product of two
+    such trees) and None otherwise.
 
     _subtrees names the fields that hold children (one field: a tuple of
     them), and children() is built from it per class; the other fields
-    (_data) are compared node by node.  Equality and hashing walk the
-    tree iteratively, so they take trees of any depth.  repr recurses;
-    its text grows with the square of the depth anyway.
+    are _data.  Equality and hashing read one key, each node's (_data,
+    class, child count) in the post-order rows of derivation(), so equal
+    trees hash equal and trees of any depth compare.  repr recurses; its
+    text grows with the square of the depth anyway.
     """
 
     _fields: tuple[str, ...] = ("smooth_flag",)
     _subtrees: tuple[str, ...] = ()
     _data = attrgetter("smooth_flag")
     smooth_flag: bool | None = None
+    cell: tuple[int, int] | None = None
     # the class's entry in NODE_KINDS, set when the table is built
     _kind: NodeKind | None = None
 
@@ -110,34 +114,25 @@ class SchemeExpr(Frozen):
         set_field(self, "smooth_flag", smooth_flag)
 
     def _set_shape(self, smooth_flag: bool | None, dim: int, smooth: bool,
-                   is_empty: bool = False) -> None:
+                   is_empty: bool = False, cell: tuple[int, int] | None = None) -> None:
         set_field(self, "smooth_flag", smooth_flag)
         set_field(self, "dim", dim)
         set_field(self, "is_empty", is_empty)
         set_field(self, "smooth", smooth if smooth_flag is None else smooth_flag)
+        set_field(self, "cell", cell)
+
+    def _tree_key(self) -> tuple:
+        # type stands in for kind_of, so a bare SchemeExpr has a key too
+        return tuple((node._data(node), cls, count)
+                     for node, cls, count in derivation(self, type))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # pairs of nodes still to compare; stops at the first difference
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._data(a) != b._data(b):
-                return False
-            kids_a, kids_b = a.children(), b.children()
-            if len(kids_a) != len(kids_b):
-                return False
-            pairs.extend(zip(kids_a, kids_b))
-        return True
+        return self._tree_key() == other._tree_key()
 
     def __hash__(self) -> int:
-        # equal trees give the same post-order rows; type stands in for
-        # kind_of, so a bare SchemeExpr hashes too
-        return hash(tuple((node._data(node), cls, count)
-                          for node, cls, count in derivation(self, type)))
+        return hash(self._tree_key())
 
     def assume_smooth(self) -> "SchemeExpr":
         return replace(self, smooth_flag=True)
@@ -174,7 +169,7 @@ class Affine(SchemeExpr):
         if n < 0:
             raise SchemeError("affine dimension must be non-negative")
         set_field(self, "n", n)
-        self._set_shape(smooth_flag, n, True)
+        self._set_shape(smooth_flag, n, True, cell=(n, 0))
 
 
 class TorusCell(SchemeExpr):
@@ -187,7 +182,7 @@ class TorusCell(SchemeExpr):
             raise SchemeError("torus cell parameters must be non-negative")
         set_field(self, "n", n)
         set_field(self, "d", d)
-        self._set_shape(smooth_flag, n + d, True)
+        self._set_shape(smooth_flag, n + d, True, cell=(n, d))
 
 
 class ProjTimesTorus(SchemeExpr):
@@ -252,8 +247,10 @@ class Product(SchemeExpr):
         set_field(self, "left", left)
         set_field(self, "right", right)
         is_empty = left.is_empty or right.is_empty
+        a, b = left.cell, right.cell
         self._set_shape(smooth_flag, -1 if is_empty else left.dim + right.dim,
-                        left.smooth and right.smooth, is_empty)
+                        left.smooth and right.smooth, is_empty,
+                        None if a is None or b is None else (a[0] + b[0], a[1] + b[1]))
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -424,18 +421,17 @@ class NodeKind(Frozen):
     label's form where not given).  j_rule and range_rule are (rule
     name, level function) pairs, and j_level and range_level their level
     functions.  to_json and from_json write and read the JSON form of
-    fields, (JSON key, attribute, codec) triples.  cell(node) is (n, d)
-    for the leaf kinds that are structurally A^n x Gm^d.
+    fields, (JSON key, attribute, codec) triples.  There is no cell
+    column: each node stores its torus-cell shape at construction.
     """
 
-    _fields = ("cls", "name", "fields", "label", "j_rule", "range_rule", "text", "cell")
+    _fields = ("cls", "name", "fields", "label", "j_rule", "range_rule", "text")
 
     def __init__(self, cls: type, name: str, fields: tuple[tuple[str, str, object], ...],
                  label: Callable[[SchemeExpr, list], str],
                  j_rule: tuple[str, Callable[[SchemeExpr, tuple], int]],
                  range_rule: tuple[str, Callable[[SchemeExpr, tuple], int]],
-                 text: Callable[[SchemeExpr, list], str] | None = None,
-                 cell: Callable[[SchemeExpr], tuple[int, int]] | None = None) -> None:
+                 text: Callable[[SchemeExpr, list], str] | None = None) -> None:
         set_field(self, "cls", cls)
         set_field(self, "name", name)
         set_field(self, "fields", fields)
@@ -445,7 +441,6 @@ class NodeKind(Frozen):
         set_field(self, "j_level", j_rule[1])
         set_field(self, "range_level", range_rule[1])
         set_field(self, "text", label if text is None else text)
-        set_field(self, "cell", cell)
 
     def to_json(self, x: SchemeExpr, kids: tuple) -> dict:
         d: dict = {"kind": self.name}
@@ -522,7 +517,6 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
         label=lambda x, kids: "A^%d" % x.n,
         j_rule=("leaf-affine", lambda x, lv: 0),
         range_rule=("leaf-affine", lambda x, lv: 0),
-        cell=lambda x: (x.n, 0),
     ),
     NodeKind(
         TorusCell, "torus_cell", (("n", "n", _INT), ("d", "d", _INT)),
@@ -531,7 +525,6 @@ NODE_KINDS: dict[type, NodeKind] = {kind.cls: kind for kind in (
         text=lambda x, kids: _torus_cell_form(x, " * ") if x.n or x.d else "Gm^0",
         j_rule=("leaf-torus-cell", lambda x, lv: x.d),
         range_rule=("leaf-torus-cell", lambda x, lv: x.d),
-        cell=lambda x: (x.n, x.d),
     ),
     NodeKind(
         ProjTimesTorus, "proj_times_torus",
@@ -714,22 +707,10 @@ def as_torus_cell(x: SchemeExpr) -> tuple[int, int] | None:
 
     Recognition is purely structural (Affine, TorusCell and products
     thereof); glue trees that happen to describe a torus are not
-    chased.  Only the product spine is walked, and the walk stops at the
-    first factor that is not a torus-cell leaf.
+    chased.  Nothing is walked: each node stored its cell at
+    construction.
     """
-    n = d = 0
-    stack = [x]
-    while stack:
-        node = stack.pop()
-        kind = kind_of(node)
-        if kind.cls is Product:
-            stack.extend(node.children())
-        elif kind.cell is None:
-            return None
-        else:
-            dn, dd = kind.cell(node)
-            n, d = n + dn, d + dd
-    return (n, d)
+    return x.cell
 
 
 def torus_cell_as_glue_tree(n: int, d: int) -> SchemeExpr:

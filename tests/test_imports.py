@@ -1,7 +1,8 @@
 """What the package imports and exports: every name a library module
 imports is used in it, the package exports each API module's __all__
-and nothing else, each scheme node class states its shape once, and
-the command line loads no heavy stdlib module."""
+and nothing else, each scheme node class states its shape once, only
+schemes.derivation walks a scheme tree, and the command line loads no
+heavy stdlib module."""
 from __future__ import annotations
 
 import ast
@@ -85,6 +86,26 @@ def test_tree_folds_go_through_the_derivation_table(name):
         in ("fold_tree", "kind_of")
     ]
     assert not calls, calls
+
+
+def test_only_derivation_calls_children():
+    # derivation() is the one walk of a scheme tree; every other reader
+    # takes its rows or a value the nodes stored at construction
+    calls, inside = [], 0
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        walk = [top for top in tree.body if name == "schemes.py"
+                and isinstance(top, ast.FunctionDef) and top.name == "derivation"]
+        allowed = {id(node) for top in walk for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "children":
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    calls.append("%s line %d" % (name, node.lineno))
+    assert calls == []
+    assert inside == 1
 
 
 def _class_bodies(module: str) -> list[tuple[str, ast.stmt]]:

@@ -98,7 +98,7 @@ RECORDS = [
     (_node_kind,
      "NodeKind(cls=<class 'wittlinear.schemes.Affine'>, name='x', fields=(), "
      "label=<built-in function len>, j_rule=('r', <built-in function max>), "
-     "range_rule=('r', <built-in function min>), text=<built-in function len>, cell=None)",
+     "range_rule=('r', <built-in function min>), text=<built-in function len>)",
      {"name": "y"}, lambda: _node_kind("y")),
     (_realization,
      "FinitePosetRealization(ground=frozenset({1, 2}), pieces=(frozenset({1}), "

@@ -302,6 +302,92 @@ class TestTorusRecognition:
         assert as_torus_cell(GM_TREE) is None
         assert as_torus_cell(Product(Affine(1), GM_TREE)) is None
 
+    @staticmethod
+    def spine_walk(t):
+        """The cell of t by walking its product spine, stopping at the
+        first factor that is not an Affine or TorusCell leaf."""
+        n = d = 0
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Product):
+                stack.extend(node.children())
+            elif isinstance(node, TorusCell):
+                n, d = n + node.n, d + node.d
+            elif isinstance(node, Affine):
+                n += node.n
+            else:
+                return None
+        return (n, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parser_trees)
+    def test_stored_cell_matches_a_spine_walk(self, t):
+        assert as_torus_cell(t) == self.spine_walk(t)
+
+    def test_a_product_of_100000_factors_is_read_without_a_walk(self, monkeypatch):
+        tree = TorusCell(0, 1)
+        for _ in range(100000 - 1):
+            tree = Product(tree, TorusCell(0, 1))
+
+        def refuse(self):
+            raise AssertionError("children() called")
+
+        monkeypatch.setattr(Product, "children", refuse)
+        assert as_torus_cell(tree) == (0, 100000)
+
+    def test_an_unregistered_node_has_no_cell(self):
+        # the folds refuse such a node (TestNodeKinds), but its cell was
+        # stored at construction
+        @dataclass(frozen=True)
+        class Point(SchemeExpr):
+            def __post_init__(self):
+                self._set_shape(None, 0, True)
+
+        assert as_torus_cell(Point()) is None
+        assert as_torus_cell(Product(Affine(1), Point())) is None
+
+
+@pytest.mark.filterwarnings("ignore::wittlinear.UnknownTwistWarning")
+class TestTreeEquality:
+    """Equality and hashing read each node's data, class and child count
+    in post-order; a change anywhere in a tree shows."""
+
+    LEAVES = (Empty(), Affine(0), Affine(1), TorusCell(0, 1), ProjTimesTorus(1, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(parser_trees)
+    def test_an_equal_copy_at_any_site_gives_an_equal_tree(self, t):
+        for sub, rebuild in surgery_sites(t):
+            copy = parse_expr(pretty(sub))
+            assert copy is not sub
+            rebuilt = rebuild(copy)
+            assert rebuilt == t and not rebuilt != t
+            assert hash(rebuilt) == hash(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parser_trees)
+    def test_a_different_leaf_at_any_site_gives_an_unequal_tree(self, t):
+        for sub, rebuild in surgery_sites(t):
+            # the printed form round-trips, so a different text is a different tree
+            for leaf in (x for x in self.LEAVES if pretty(x) != pretty(sub)):
+                try:
+                    rebuilt = rebuild(leaf)
+                except SchemeError:
+                    continue
+                assert rebuilt != t and not rebuilt == t
+
+    def test_same_label_different_shape(self):
+        nested, flat = parse_expr("A^1 * (P^1 * Gm)"), parse_expr("A^1 * P^1 * Gm")
+        assert nested.label() == flat.label() == "A^1*P^1*Gm"
+        assert nested != flat
+
+    def test_same_children_different_inner_kind(self):
+        # the three binary kinds hold the same data, smooth_flag only
+        inner = [kind(Affine(1), Affine(0)) for kind in (OpenGlue, ClosedGlue, Product)]
+        trees = [Product(Affine(0), x) for x in inner]
+        assert [a == b for a in trees for b in trees] == [a is b for a in trees for b in trees]
+
 
 class TestFinitePosetRealization:
     @staticmethod
