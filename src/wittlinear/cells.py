@@ -70,8 +70,6 @@ class CellularComplexSlice(Frozen):
     computed; every other twist is refused rather than guessed.
     """
 
-    _fields = ("degree", "twist", "incoming", "current", "differential")
-
     def __init__(self, degree: int, twist: TwistLabel, incoming: ShiftedIdealSum,
                  current: ShiftedIdealSum, differential: str = "ZERO") -> None:
         set_field(self, "degree", degree)

@@ -105,13 +105,10 @@ def _to_json(value) -> str:
 
 class _Columns:
     """A list of dicts with one set of str keys, held as one list per
-    key: _to_json writes it, and it compares equal, as that list."""
+    key: _to_json writes it as that list."""
 
     def __init__(self, **columns: list) -> None:
         self.columns = columns
-
-    def __eq__(self, other):
-        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())] == other
 
 
 # exact types written without a call of their own; bool, None and
@@ -242,7 +239,7 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
 
 def _rules(provenance) -> _Columns:
     return _Columns(node=[r.node for r in provenance], rule=[r.rule for r in provenance],
-                    inputs=[list(r.inputs) for r in provenance],
+                    inputs=[r.inputs for r in provenance],
                     level=[r.level for r in provenance])
 
 

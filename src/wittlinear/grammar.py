@@ -21,9 +21,9 @@ left, with one folding rule: a projective-times-torus term absorbs an
 adjacent pure torus factor into its torus rank, so "P^2 @O(3) * Gm^3"
 is a single leaf while "A^3 * Gm^2" stays a product of two cells.
 
-A twist name other than O(<int>) parses as an opaque label and emits
-UnknownTwistWarning; downstream ops that need a specific twist will
-refuse it.
+A twist name other than O(<int>) parses as an opaque label, and
+parse_expr emits UnknownTwistWarning for it, attributed to its caller;
+downstream ops that need a specific twist will refuse it.
 
 pretty() prints the canonical form: "Gm" for rank one, no "@" for the
 trivial twist, cover pairs only in strat orders, parentheses only where
@@ -120,6 +120,8 @@ class _Parser:
         self.tokens = _TOKEN.findall(text)
         self.tokens.append("")
         self.pos = 0
+        # the opaque twist names read so far, in order
+        self.twists: list[str] = []
 
     def fail(self, message: str, index: int | None = None) -> ParseError:
         """A ParseError at the token at index (by default the current one)."""
@@ -204,12 +206,7 @@ class _Parser:
             k = int(self.word(_INT_START, "an integer twist degree"))
             self.expect(")")
             return TwistLabel.o(k)
-        warnings.warn(
-            "twist %r is not of the form O(<int>); treating it as an opaque label"
-            % name,
-            UnknownTwistWarning,
-            stacklevel=4,
-        )
+        self.twists.append(name)
         return TwistLabel(name)
 
     def parse_strat(self) -> SchemeExpr:
@@ -247,17 +244,24 @@ def _combine(left: SchemeExpr, right: SchemeExpr) -> SchemeExpr:
 
 
 def parse_expr(text: str) -> SchemeExpr:
-    """Parse a scheme expression; raises ParseError with line/column."""
+    """Parse a scheme expression; raises ParseError with line/column.
+
+    Each opaque twist name read gives one UnknownTwistWarning, in the
+    order read, at the caller's line, also when the parse then fails."""
     parser = _Parser(text)
     try:
         node = parser.parse_expr()
+        token = parser.tokens[parser.pos]
+        if token:
+            raise parser.fail("trailing input %r" % token)
+        return node
     except RecursionError:
         # the parser recurses once per nesting level; report where it gave up
         raise parser.fail("expression nests too deeply") from None
-    token = parser.tokens[parser.pos]
-    if token:
-        raise parser.fail("trailing input %r" % token)
-    return node
+    finally:
+        for name in parser.twists:
+            warnings.warn("twist %r is not of the form O(<int>); treating it as an "
+                          "opaque label" % name, UnknownTwistWarning, stacklevel=2)
 
 
 def pretty(x: SchemeExpr) -> str:

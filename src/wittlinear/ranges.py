@@ -114,8 +114,6 @@ class RangeVerdict(Frozen):
     a + b >= iso_diag and injective already at a + b = inj_diag.
     """
 
-    _fields = ("iso_diag", "inj_diag", "provenance")
-
     def __init__(self, iso_diag: int, inj_diag: int,
                  provenance: tuple[RuleApplication, ...]) -> None:
         set_field(self, "iso_diag", iso_diag)
@@ -138,8 +136,6 @@ class SheafRangeVerdict(Frozen):
     agree above the dimension).  not_surjective lists (i, j) pairs where
     the step is certified to have a cokernel.
     """
-
-    _fields = ("level", "dim", "sheaf", "not_surjective", "provenance")
 
     def __init__(self, level: int, dim: int, sheaf: str, not_surjective: frozenset,
                  provenance: tuple[RuleApplication, ...]) -> None:
@@ -247,8 +243,6 @@ class RccmEntry(Frozen):
     times the image of the grade-i comparison map.
     """
 
-    _fields = ("case", "image_contains_power", "image_equals_power")
-
     def __init__(self, case: RccmCase, image_contains_power: int | None = None,
                  image_equals_power: int | None = None) -> None:
         set_field(self, "case", case)
@@ -259,8 +253,6 @@ class RccmEntry(Frozen):
 class RccmVerdict(Frozen):
     """Range report for the comparison map to singular cohomology in
     degree i, valid for every line-bundle twist."""
-
-    _fields = ("i", "level", "dim", "provenance")
 
     def __init__(self, i: int, level: int, dim: int,
                  provenance: tuple[RuleApplication, ...]) -> None:

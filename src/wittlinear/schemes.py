@@ -79,22 +79,24 @@ class SchemeExpr(Frozen):
 
     smooth_flag is a user assertion overriding the structural default;
     None means "derive from the construction".  It is a keyword-only
-    argument of every node and the first field of its repr.  _set_shape
-    stores it with dim, is_empty, smooth (the flag, or else derived from
-    the children's stored values) and cell once, at construction, so
-    reading them never walks the tree.  cell is (n, d) for a tree that is
+    parameter of every node's constructor, and so the first of the
+    node's fields, which are its constructor's parameters (see _frozen),
+    and the first field of its repr.  _set_shape stores it with dim,
+    is_empty, smooth (the flag, or else derived from the children's
+    stored values) and cell once, at construction, so reading them
+    never walks the tree.  cell is (n, d) for a tree that is
     structurally A^n x Gm^d (an Affine, a TorusCell, or a Product of two
     such trees) and None otherwise.
 
     _subtrees names the fields that hold children (one field: a tuple of
-    them), and children() is built from it per class; the other fields
-    are _data.  Equality and hashing read one key, each node's (_data,
-    class, child count) in the post-order rows of derivation(), so equal
-    trees hash equal and trees of any depth compare.  repr recurses; its
-    text grows with the square of the depth anyway.
+    them), and children() is built from it per class; the other fields,
+    smooth_flag first, are _data.  Equality and hashing read one key,
+    each node's (_data, class, child count) in the post-order rows of
+    derivation(), so equal trees hash equal and trees of any depth
+    compare.  repr recurses; its text grows with the square of the depth
+    anyway.
     """
 
-    _fields: tuple[str, ...] = ("smooth_flag",)
     _subtrees: tuple[str, ...] = ()
     _data = attrgetter("smooth_flag")
     smooth_flag: bool | None = None
@@ -163,8 +165,6 @@ class Empty(SchemeExpr):
 class Affine(SchemeExpr):
     """Affine space of dimension n."""
 
-    _fields = ("smooth_flag", "n")
-
     def __init__(self, n: int, *, smooth_flag: bool | None = None) -> None:
         if n < 0:
             raise SchemeError("affine dimension must be non-negative")
@@ -174,8 +174,6 @@ class Affine(SchemeExpr):
 
 class TorusCell(SchemeExpr):
     """A cell A^n x Gm^d: affine space times a split torus."""
-
-    _fields = ("smooth_flag", "n", "d")
 
     def __init__(self, n: int, d: int, *, smooth_flag: bool | None = None) -> None:
         if n < 0 or d < 0:
@@ -187,8 +185,6 @@ class TorusCell(SchemeExpr):
 
 class ProjTimesTorus(SchemeExpr):
     """P^c x Gm^e, carrying a line-bundle twist label on the P^c factor."""
-
-    _fields = ("smooth_flag", "c", "e", "twist")
 
     def __init__(self, c: int, e: int, twist: TwistLabel = TwistLabel.trivial(), *,
                  smooth_flag: bool | None = None) -> None:
@@ -207,7 +203,6 @@ class OpenGlue(SchemeExpr):
     ambient scheme (or be empty), so the complement is dense.
     """
 
-    _fields = ("smooth_flag", "ambient", "closed")
     _subtrees = ("ambient", "closed")
 
     def __init__(self, ambient: SchemeExpr, closed: SchemeExpr, *,
@@ -225,7 +220,6 @@ class OpenGlue(SchemeExpr):
 class ClosedGlue(SchemeExpr):
     """A scheme split into a closed piece and its open complement."""
 
-    _fields = ("smooth_flag", "closed", "open_part")
     _subtrees = ("closed", "open_part")
 
     def __init__(self, closed: SchemeExpr, open_part: SchemeExpr, *,
@@ -239,7 +233,6 @@ class ClosedGlue(SchemeExpr):
 
 
 class Product(SchemeExpr):
-    _fields = ("smooth_flag", "left", "right")
     _subtrees = ("left", "right")
 
     def __init__(self, left: SchemeExpr, right: SchemeExpr, *,
@@ -275,8 +268,6 @@ class ClosureOrder(Frozen):
     Alongside the pairs, down[k] is the bitset of the strata in the
     closure of stratum k; validation and the order queries run on it.
     """
-
-    _fields = ("size", "relation")
 
     def __init__(self, size: int, relation: frozenset[tuple[int, int]]) -> None:
         _check_pairs(size, relation)
@@ -355,7 +346,6 @@ class Stratified(SchemeExpr):
     closure relation among them.
     """
 
-    _fields = ("smooth_flag", "strata", "closure_order")
     _subtrees = ("strata",)
 
     def __init__(self, strata: tuple[SchemeExpr, ...], closure_order: ClosureOrder, *,
@@ -390,8 +380,6 @@ class Stratified(SchemeExpr):
 class RuleApplication(Frozen):
     """One rule firing at one tree node: inputs are child levels."""
 
-    _fields = ("node", "rule", "inputs", "level")
-
     def __init__(self, node: str, rule: str, inputs: tuple[int, ...], level: int) -> None:
         set_field(self, "node", node)
         set_field(self, "rule", rule)
@@ -424,8 +412,6 @@ class NodeKind(Frozen):
     fields, (JSON key, attribute, codec) triples.  There is no cell
     column: each node stores its torus-cell shape at construction.
     """
-
-    _fields = ("cls", "name", "fields", "label", "j_rule", "range_rule", "text")
 
     def __init__(self, cls: type, name: str, fields: tuple[tuple[str, str, object], ...],
                  label: Callable[[SchemeExpr, list], str],
@@ -769,8 +755,6 @@ class FinitePosetRealization(Frozen):
     partial order; a cycle of distinct pieces is rejected.
     """
 
-    _fields = ("ground", "pieces", "closure_sets")
-
     def __init__(self, ground: frozenset, pieces: tuple[frozenset, ...],
                  closure_sets: tuple[frozenset, ...]) -> None:
         ground = frozenset(ground)
@@ -873,16 +857,12 @@ class VennStratum(Frozen):
     """One candidate stratum: the points lying in exactly the sets
     indexed by members."""
 
-    _fields = ("members", "points")
-
     def __init__(self, members: frozenset, points: frozenset) -> None:
         set_field(self, "members", members)
         set_field(self, "points", points)
 
 
 class VennReport(Frozen):
-    _fields = ("strata", "partition_ok", "boundary_ok")
-
     def __init__(self, strata: tuple[VennStratum, ...], partition_ok: bool,
                  boundary_ok: bool) -> None:
         set_field(self, "strata", strata)

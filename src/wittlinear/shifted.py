@@ -65,8 +65,6 @@ class AbelianGroupPresentation(Frozen):
     AbelianGroupPresentation(free_rank=0, torsion_orders=(2, 12))
     """
 
-    _fields = ("free_rank", "torsion_orders")
-
     def __init__(self, free_rank: int, torsion_orders: tuple[int, ...] = ()) -> None:
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
@@ -120,8 +118,6 @@ class AbelianGroupPresentation(Frozen):
 
 
 class StepVerdict(Frozen):
-    _fields = ("kind", "cokernel")
-
     def __init__(self, kind: StepKind, cokernel: AbelianGroupPresentation) -> None:
         set_field(self, "kind", kind)
         set_field(self, "cokernel", cokernel)
@@ -153,8 +149,6 @@ class ShiftedIdealSum(Frozen):
     >>> gm.describe_at(0)
     'Z (+) Z'
     """
-
-    _fields = ("summands",)
 
     def __init__(self, summands: tuple[tuple[int, int], ...]) -> None:
         merged: dict[int, int] = {}

@@ -59,8 +59,6 @@ class DiagonalForm(Frozen):
     1
     """
 
-    _fields = ("entries",)
-
     def __init__(self, entries: tuple[Fraction, ...]) -> None:
         # imported here: fractions loads decimal and numbers, and no
         # command-line path builds a form
@@ -101,8 +99,6 @@ class GWClass(Frozen):
     wittlinear.witt.InvalidFormError: rank 2 and signature 1 differ in parity
     """
 
-    _fields = ("rank", "signature")
-
     def __init__(self, rank: int, signature: int) -> None:
         if (rank - signature) % 2 != 0:
             raise InvalidFormError(
@@ -132,8 +128,6 @@ GW_ONE = GWClass(1, 1)
 class WittClass(Frozen):
     """A Witt class over R; the signature is a complete invariant."""
 
-    _fields = ("signature",)
-
     def __init__(self, signature: int) -> None:
         set_field(self, "signature", signature)
 
@@ -160,8 +154,6 @@ class IdealLevel(Frozen):
     >>> IdealLevel(-2).generator
     1
     """
-
-    _fields = ("q",)
 
     def __init__(self, q: int) -> None:
         set_field(self, "q", q)
@@ -191,8 +183,6 @@ class IdealLevel(Frozen):
 
 class TwistLabel(Frozen):
     """Opaque label for a line-bundle twist, e.g. "trivial" or "O(3)"."""
-
-    _fields = ("name",)
 
     def __init__(self, name: str) -> None:
         set_field(self, "name", name)
@@ -233,8 +223,6 @@ class FieldCapability(Frozen):
     lowest degrees: binary forms represent everything, so I is a single
     copy of Z/2 and I^2 = 0, and no doubling map can be onto.
     """
-
-    _fields = ("name", "graded_step_iso")
 
     def __init__(self, name: str, graded_step_iso: bool) -> None:
         set_field(self, "name", name)

@@ -231,6 +231,24 @@ class TestTwistWarnings:
             warnings.simplefilter("error")
             parse_expr("P^2 @O(3)")
 
+    @pytest.mark.parametrize("text,names,fails", [
+        ("P^2 @foo", ["foo"], False),
+        ("open(P^2 @bar * Gm, A^0)", ["bar"], False),
+        ("strat(P^1 @a * P^1 @b, A^0; 1<0", ["a", "b"], True),
+    ], ids=["top-level", "nested", "failing"])
+    def test_warnings_name_the_caller(self, text, names, fails):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if fails:
+                with pytest.raises(ParseError):
+                    parse_expr(text)
+            else:
+                parse_expr(text)
+        assert [(w.category, w.filename, str(w.message)) for w in caught] == [
+            (UnknownTwistWarning, __file__,
+             "twist %r is not of the form O(<int>); treating it as an opaque label" % name)
+            for name in names]
+
 
 class TestPretty:
     def test_canonical_forms(self):

@@ -1,12 +1,14 @@
 """What the package imports and exports: every name a library module
 imports is used in it, the package exports each API module's __all__
-and nothing else, each scheme node class states its shape once, only
+and nothing else, each scheme node class states its shape once, each
+record names its fields once, in its constructor, only
 schemes.derivation walks a scheme tree, and the command line loads no
 heavy stdlib module."""
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 
 import wittlinear
 from helpers import SRC
+from wittlinear._frozen import Frozen
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -145,6 +148,33 @@ def test_smooth_flag_is_stored_only_by_the_base_node():
         and any(isinstance(a, ast.Constant) and a.value == "smooth_flag" for a in node.args)
     )
     assert stores == ["SchemeExpr.__init__", "SchemeExpr._set_shape"]
+
+
+def test_no_class_body_assigns_fields():
+    # a record's fields are its constructor's parameters, which Frozen
+    # reads into _fields; a list kept beside them could drift from them
+    assigned = ["%s: %s" % (module, cls) for module in MODULES + ["__init__.py"]
+                for cls, stmt in _class_bodies(module)
+                if "_fields" in _binds(stmt) and getattr(stmt, "value", None) is not None]
+    assert assigned == []
+
+
+def _record_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("wittlinear."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+RECORD_CLASSES = sorted(_record_classes(), key=lambda cls: cls.__qualname__)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=[c.__qualname__ for c in RECORD_CLASSES])
+def test_record_fields_are_the_constructor_parameters(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert cls._fields == tuple(
+        [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+        + [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD])
 
 
 def _top_level_names(tree: ast.Module) -> dict[str, int]:

@@ -1031,6 +1031,9 @@ class TestNodeKinds:
 
         assert kind_of(Line(1)) is NODE_KINDS[Affine]
         assert j_linear_level_with_rules(Line(1))[1][0].node == "A^1"
+        # with no constructor of its own it has its base's fields
+        assert Line._fields == ("smooth_flag", "n")
+        assert repr(Line(1)) == "%s(smooth_flag=None, n=1)" % Line.__qualname__
 
     def test_unknown_node_is_refused(self):
         @dataclass(frozen=True)
