@@ -92,8 +92,8 @@ def _to_json(value) -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True).
 
     Only the types a v1 payload holds are written: dict with str keys,
-    list, tuple, str, int, bool and None, and _Columns, written as the
-    list of dicts it stands for; anything else is a TypeError.  A list,
+    list, tuple, str, int, bool and None, and _Columns and _Runs, written
+    as the lists they stand for; anything else is a TypeError.  A list,
     or one column of a _Columns, is turned into the texts of its items
     by _column_texts; provenance records and venn strata come as
     _Columns and go to the output row by row, see _write_columns.
@@ -109,6 +109,13 @@ class _Columns:
 
     def __init__(self, **columns: list) -> None:
         self.columns = columns
+
+
+class _Runs:
+    """A list of ints as (value, count) runs, each count at least 1."""
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]) -> None:
+        self.runs = runs
 
 
 # exact types written without a call of their own; bool, None and
@@ -144,6 +151,15 @@ def _write_columns(columns: dict, indent: str, out: list[str], escaped: dict) ->
     texts[0] = chain(("[\n" + inner + head,), repeat(close + ",\n" + inner + head))
     out.extend(chain.from_iterable(zip(*texts)))
     out.append(close + "\n" + indent + "]")
+
+
+def _write_runs(runs: tuple, indent: str, out: list[str]) -> None:
+    """Append the list runs stands for, nested at indent, each value's
+    text made once and repeated."""
+    sep = ",\n" + indent + "  "
+    texts = [(int.__repr__(value), count) for value, count in runs]
+    items = [(text + sep) * (count - 1) + text for text, count in texts]
+    out.append("[" + sep[1:] + sep.join(items) + "\n" + indent + "]" if items else "[]")
 
 
 def _column_texts(column: list, indent: str, escaped: dict) -> list[str]:
@@ -225,6 +241,8 @@ def _write_json(value, indent: str, out: list[str], escaped: dict) -> None:
         out.append(encode_basestring_ascii(value))
     elif type(value) is _Columns:
         _write_columns(value.columns, indent, out, escaped)
+    elif type(value) is _Runs:
+        _write_runs(value.runs, indent, out)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -451,7 +469,7 @@ def cmd_cokernel(args) -> tuple[dict, list[str]]:
         "j1": j1,
         "cokernel": {
             "free_rank": coker.free_rank,
-            "torsion_orders": list(coker.torsion_orders),
+            "torsion_orders": _Runs(coker.runs),
         },
         "cokernel_str": str(coker),
         "exponent": coker.exponent,

@@ -18,6 +18,7 @@ cyclic group of that 2-power order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from enum import Enum
 from math import gcd
 
@@ -58,27 +59,42 @@ class AbelianGroupPresentation(Frozen):
     """A finitely generated abelian group in invariant-factor normal form.
 
     torsion_orders is sorted so that each order divides the next; the
-    constructor rejects tuples that are not already in normal form (use
+    constructor rejects orders that are not already in normal form (use
     from_orders to normalize an arbitrary multiset of cyclic orders).
+    It stores them as a tuple, and in runs as (order, count) pairs.
 
     >>> AbelianGroupPresentation.from_orders(0, [4, 2, 3])
     AbelianGroupPresentation(free_rank=0, torsion_orders=(2, 12))
+    >>> AbelianGroupPresentation(0, [2, 2, 8]).runs
+    ((2, 2), (8, 1))
     """
 
     def __init__(self, free_rank: int, torsion_orders: tuple[int, ...] = ()) -> None:
         if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for o in torsion_orders:
-            if o < 2:
+        torsion_orders = tuple(torsion_orders)
+        # a chain of orders >= 2 is sorted, so a run of equal orders ends
+        # where bisect_right puts its order, just before a larger one; the
+        # slice comparison checks that the run holds only its order
+        runs, start, below = [], 0, 1
+        chain = not torsion_orders or torsion_orders[0] >= 2
+        while chain and start < len(torsion_orders):
+            order = torsion_orders[start]
+            end = bisect_right(torsion_orders, order, start)
+            chain = (order % below == 0
+                     and torsion_orders[start:end] == (order,) * (end - start))
+            runs.append((order, end - start))
+            start, below = end, order
+        if not chain:
+            if min(torsion_orders) < 2:
                 raise ValueError("torsion orders must be at least 2")
-        for a, b in zip(torsion_orders, torsion_orders[1:]):
-            if b % a != 0:
-                raise ValueError(
-                    "torsion orders must form a divisibility chain, got %r"
-                    % (torsion_orders,)
-                )
+            raise ValueError(
+                "torsion orders must form a divisibility chain, got %r"
+                % (torsion_orders,)
+            )
         set_field(self, "free_rank", free_rank)
         set_field(self, "torsion_orders", torsion_orders)
+        set_field(self, "runs", tuple(runs))
 
     @classmethod
     def from_orders(cls, free_rank: int, orders) -> "AbelianGroupPresentation":
@@ -101,20 +117,14 @@ class AbelianGroupPresentation(Frozen):
     @property
     def exponent(self) -> int:
         """Smallest n killing the torsion part (1 if torsion-free)."""
-        return self.torsion_orders[-1] if self.torsion_orders else 1
+        return self.runs[-1][0] if self.runs else 1
 
     def __str__(self) -> str:
-        if self.is_trivial:
-            return "0"
-        parts: list[str] = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append("Z^%d" % self.free_rank)
-        for order, group in itertools.groupby(self.torsion_orders):
-            count = len(list(group))
-            parts.append("Z/%d" % order if count == 1 else "(Z/%d)^%d" % (order, count))
-        return " (+) ".join(parts)
+        free = self.free_rank
+        parts = ["Z" if free == 1 else "Z^%d" % free] if free else []
+        parts += ["Z/%d" % order if count == 1 else "(Z/%d)^%d" % (order, count)
+                  for order, count in self.runs]
+        return " (+) ".join(parts) or "0"
 
 
 class StepVerdict(Frozen):
@@ -129,12 +139,8 @@ class StepVerdict(Frozen):
 
 def _step_verdict(coker_rank: int) -> StepVerdict:
     # every step here is injective; its cokernel is (Z/2)^coker_rank
-    if coker_rank == 0:
-        return StepVerdict(StepKind.ISO, AbelianGroupPresentation.trivial())
-    return StepVerdict(
-        StepKind.INJECTIVE_NOT_SURJECTIVE,
-        AbelianGroupPresentation(0, (2,) * coker_rank),
-    )
+    kind = StepKind.INJECTIVE_NOT_SURJECTIVE if coker_rank else StepKind.ISO
+    return StepVerdict(kind, AbelianGroupPresentation(0, (2,) * coker_rank))
 
 
 class ShiftedIdealSum(Frozen):
@@ -192,10 +198,10 @@ class ShiftedIdealSum(Frozen):
     def describe_at(self, j: int) -> str:
         if self.is_empty:
             return "0"
-        parts = []
+        parts = []  # one string repetition per summand
         for level, mult in self.evaluate(j):
             base = level.subgroup_str()
-            parts.extend([base] * mult)
+            parts.append((base + " (+) ") * (mult - 1) + base)
         return " (+) ".join(parts)
 
     def step_verdict(self, j: int) -> StepVerdict:
@@ -231,8 +237,8 @@ class ShiftedIdealSum(Frozen):
         The orders come out already in invariant-factor form: summands
         are stored sorted by shift and the exponent never decreases as s
         grows, so the 2-powers with positive exponent form a divisibility
-        chain.  The presentation is built directly, in time linear in the
-        number of factors, and its constructor checks the chain.
+        chain.  The presentation is built directly, one run of equal
+        orders per summand, and its constructor checks the chain per run.
 
         >>> str(ShiftedIdealSum.from_pairs([(3, 2)]).composite_cokernel(1, 5))
         '(Z/4)^2'

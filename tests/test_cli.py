@@ -85,6 +85,13 @@ class TestRangeCommand:
         assert payload["iso_for_j_at_least"] == 1
         assert payload["injective_at_j"] == 0
 
+    def test_open_piece_of_a_smooth_ambient_is_derived_smooth(self):
+        # the closed piece is not smooth; the open rule reads the ambient only
+        proc = run_cli("range", "open(A^3, closed(A^0, A^1))", "--i", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert "smooth (derived)" in proc.stdout
+        assert "ISO for j >= 1; INJECTIVE at j = 0" in proc.stdout
+
     def test_smoothness_is_required(self):
         proc = run_cli("range", "closed(A^0, A^1)", "--i", "0")
         assert proc.returncode == 3
@@ -732,6 +739,40 @@ class TestJsonWriter:
         second = list(first)
         value = {"a": cli._Columns(node=first), "b": [cli._Columns(node=second)]}
         same = {"a": [{"node": s} for s in first], "b": [[{"node": s} for s in second]]}
+        assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
+
+    @staticmethod
+    def expanded(runs):
+        return [value for value, count in runs for _ in range(count)]
+
+    @pytest.mark.parametrize("runs", [
+        (),
+        ((2, 1),),
+        ((4, 7),),
+        tuple((2**k, math.comb(11, k)) for k in range(1, 12)),
+        ((2, 3), (6, 1), (12, 40), (36, 2)),
+        ((2**14284, 3),),
+        tuple((2**k, k % 3 + 1) for k in range(14270, 14285)),
+    ], ids=["empty", "one-unit", "one-run", "gm11", "not-2-powers", "2^14284",
+            "many-long-2-powers"])
+    def test_runs_write_as_the_list_they_stand_for(self, runs):
+        r, same = cli._Runs(runs), self.expanded(runs)
+        for value, expected in ((r, same), ({"a": r}, {"a": same}),
+                                ([1, [r, {"b": r}]], [1, [same, {"b": same}]]),
+                                ({"a": {"b": [[r]]}, "c": r}, {"a": {"b": [[same]]}, "c": same})):
+            assert cli._to_json(value) == json.dumps(expected, indent=2, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 14284).map(lambda k: 2**k), st.integers(1, 40)),
+                    max_size=12),
+           st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+    def test_runs_at_any_depth(self, runs, wrappers):
+        value, same = cli._Runs(tuple(runs)), self.expanded(runs)
+        for wrapper in wrappers:
+            if wrapper == "list":
+                value, same = [0, value], [0, same]
+            else:
+                value, same = {"k": value, "a": 1}, {"k": same, "a": 1}
         assert cli._to_json(value) == json.dumps(same, indent=2, sort_keys=True)
 
     def test_columns_of_no_rows_write_an_empty_list(self):

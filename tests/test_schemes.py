@@ -108,6 +108,13 @@ class TestSmoothness:
         assert GM_TREE.smooth
         assert not OpenGlue(ClosedGlue(Affine(0), Affine(1)), Empty()).smooth
 
+    def test_open_piece_over_a_non_smooth_closed_piece_is_smooth(self):
+        # an open subscheme of a smooth scheme is smooth, whatever it omits
+        closed = ClosedGlue(Affine(0), Affine(1))
+        assert not closed.smooth
+        assert OpenGlue(Affine(3), closed).smooth
+        assert parse_expr("open(A^3, closed(A^0, A^1))").smooth
+
     def test_glued_and_stratified_default_to_not_smooth(self):
         assert not ClosedGlue(Affine(0), Affine(1)).smooth
         assert not Stratified((Affine(0),), ClosureOrder.discrete(1)).smooth

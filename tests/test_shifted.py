@@ -5,6 +5,7 @@ oracle in snf_oracle.py, which multiplies the literal step matrices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -53,6 +54,67 @@ def per_prime_invariant_factors(orders) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def reference_presentation(free_rank: int, torsion_orders: tuple) -> tuple[str, int]:
+    """The checks, str and exponent of AbelianGroupPresentation as they
+    were before it held runs, one Python step per order: raises the
+    ValueError the constructor raised, or returns (str, exponent), the
+    str from itertools.groupby."""
+    if free_rank < 0:
+        raise ValueError("free rank must be non-negative")
+    for o in torsion_orders:
+        if o < 2:
+            raise ValueError("torsion orders must be at least 2")
+    for a, b in zip(torsion_orders, torsion_orders[1:]):
+        if b % a != 0:
+            raise ValueError(
+                "torsion orders must form a divisibility chain, got %r"
+                % (torsion_orders,)
+            )
+    exponent = torsion_orders[-1] if torsion_orders else 1
+    if free_rank == 0 and not torsion_orders:
+        return "0", exponent
+    parts = []
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank > 1:
+        parts.append("Z^%d" % free_rank)
+    for order, group in itertools.groupby(torsion_orders):
+        count = len(list(group))
+        parts.append("Z/%d" % order if count == 1 else "(Z/%d)^%d" % (order, count))
+    return " (+) ".join(parts), exponent
+
+
+@st.composite
+def torsion_tuples(draw) -> tuple[int, ...]:
+    """Orders in runs of equal values, up to 300 long: divisibility
+    chains, and lists with 1s, 0s, negatives and 2^64-sized orders;
+    each as drawn, sorted, with one order moved or put in, or
+    shuffled."""
+    if draw(st.booleans()):
+        values, order = [], draw(st.integers(2, 12))
+        for factor in draw(st.lists(st.integers(1, 5), max_size=8)):
+            values.append(order)
+            order *= factor
+    else:
+        values = draw(st.lists(st.integers(-3, 40) | st.sampled_from([2**64, 3 * 2**64]),
+                               max_size=8))
+    orders = []
+    for value in values:
+        orders += [value] * draw(st.integers(1, 3) | st.integers(1, 300))
+    how = draw(st.sampled_from(["as drawn", "sorted", "moved", "put in", "shuffled"]))
+    if how == "sorted":
+        orders.sort()
+    elif how == "moved" and orders:
+        orders.insert(draw(st.integers(0, len(orders) - 1)),
+                      orders.pop(draw(st.integers(0, len(orders) - 1))))
+    elif how == "put in":
+        orders.insert(draw(st.integers(0, len(orders))),
+                      draw(st.integers(-3, 40) | st.sampled_from([2**64, 3 * 2**64])))
+    elif how == "shuffled":
+        draw(st.randoms(use_true_random=False)).shuffle(orders)
+    return tuple(orders)
+
+
 class TestPresentation:
     def test_normal_form_example(self):
         g = AbelianGroupPresentation.from_orders(0, [4, 2, 3])
@@ -89,6 +151,48 @@ class TestPresentation:
         assert str(AbelianGroupPresentation(0, (2,))) == "Z/2"
         assert str(AbelianGroupPresentation(0, (4, 4, 4))) == "(Z/4)^3"
         assert str(AbelianGroupPresentation(1, (2, 4, 4))) == "Z (+) Z/2 (+) (Z/4)^2"
+
+    def test_a_list_of_orders_is_stored_as_a_tuple(self):
+        from_list = AbelianGroupPresentation(0, [2, 4])
+        from_tuple = AbelianGroupPresentation(0, (2, 4))
+        assert from_list.torsion_orders == (2, 4)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert len({from_list, from_tuple}) == 1
+
+    def test_runs(self):
+        assert AbelianGroupPresentation.trivial().runs == ()
+        assert AbelianGroupPresentation(2, (2, 2, 4, 12, 12)).runs == \
+            ((2, 2), (4, 1), (12, 2))
+        for d in range(0, 9):
+            assert torus_sum(d).composite_cokernel(0, d).runs == \
+                tuple((2**k, math.comb(d, k)) for k in range(1, d + 1))
+
+    def test_an_order_below_2_is_named_before_the_chain(self):
+        for orders in ((4, 2, 1), (2, 3, 0), (8, -2, 4), (3, 3, 1, 2)):
+            with pytest.raises(ValueError, match="^torsion orders must be at least 2$"):
+                AbelianGroupPresentation(0, orders)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-1, 2), torsion_tuples())
+    @example(0, (4, 2, 1))
+    @example(0, (2, 4, 2, 4))  # bisect_right from 0 skips the first 4
+    @example(1, (2,) * 300 + (6,) * 2 + (12,) * 300)
+    def test_matches_the_per_order_reference(self, free, orders):
+        try:
+            expected = reference_presentation(free, orders)
+        except ValueError as e:
+            with pytest.raises(ValueError) as caught:
+                AbelianGroupPresentation(free, orders)
+            assert str(caught.value) == str(e)
+            return
+        g = AbelianGroupPresentation(free, orders)
+        assert g.torsion_orders == orders
+        assert tuple(itertools.chain.from_iterable(
+            itertools.repeat(order, count) for order, count in g.runs)) == orders
+        assert all(count > 0 for _, count in g.runs)
+        assert all(a < b for (a, _), (b, _) in zip(g.runs, g.runs[1:]))
+        assert (str(g), g.exponent) == expected
 
     @given(st.integers(0, 3), st.lists(st.integers(2, 64), max_size=5))
     def test_from_orders_is_normal_and_order_preserving(self, free, orders):
