@@ -198,7 +198,7 @@ class ShiftedIdealSum(Frozen):
     def describe_at(self, j: int) -> str:
         if self.is_empty:
             return "0"
-        parts = []  # one string repetition per summand
+        parts = []
         for level, mult in self.evaluate(j):
             base = level.subgroup_str()
             parts.append((base + " (+) ") * (mult - 1) + base)
